@@ -2,10 +2,11 @@
 
 The ambient field is the degree-16 cyclotomic field generated by a primitive
 60th root of unity; every algebraic quantity in this package lives inside it.
-Elements are coefficient vectors over the power basis of the generator, with
-all arithmetic done in stdlib Fractions.  Smaller cyclotomic fields (orders
-3, 4, 5, ...) are available as fast internal representations and embed into
-the ambient field along fixed root-of-unity identifications.
+Elements are Fraction coefficient vectors over the power basis of the
+generator; a product clears both denominators and multiplies integer
+vectors.  Smaller cyclotomic fields (orders 3, 4, 5, ...) are available as
+fast internal representations and embed into the ambient field along fixed
+root-of-unity identifications.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta5, i) < ambient, reducing at
@@ -17,8 +18,6 @@ import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -145,6 +144,78 @@ def cyclotomic_field(n):
     return _FIELD_CACHE[n]
 
 
+# ----------------------------------------------------------------------------
+# integer coefficient vectors: the one multiply kernel
+# ----------------------------------------------------------------------------
+
+class IntVectorOps:
+    """Arithmetic on integer coefficient vectors of a cyclotomic order.
+
+    CycloElement multiplication and the hot loops that clear denominators
+    first both run here; the scalar they drop is tracked by the caller.
+    Vectors are plain tuples of ints.
+    """
+
+    __slots__ = ("n", "degree", "rows")
+
+    _CACHE = {}
+
+    def __new__(cls, n):
+        if n in cls._CACHE:
+            return cls._CACHE[n]
+        self = object.__new__(cls)
+        field = cyclotomic_field(n)
+        self.n = n
+        self.degree = field.degree
+        # x^k mod the cyclotomic polynomial, as its nonzero (index, value)
+        self.rows = {k: tuple((j, c) for j, c in enumerate(row) if c)
+                     for k, row in field._reduction_rows.items()}
+        cls._CACHE[n] = self
+        return self
+
+    def zero(self):
+        return (0,) * self.degree
+
+    def one(self):
+        return (1,) + (0,) * (self.degree - 1)
+
+    def mul(self, a, b):
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    conv[i + j] += x * y
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                for j, r in self.rows[k]:
+                    out[j] += c * r
+        return tuple(out)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def scale(self, a, c):
+        return tuple(x * c for x in a)
+
+    def from_element(self, e):
+        """Clear denominators; returns (int vector, denominator)."""
+        den = 1
+        for c in e.coeffs:
+            if c.denominator != 1:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+        if den == 1:
+            return tuple(c.numerator for c in e.coeffs), 1
+        return tuple(c.numerator * (den // c.denominator)
+                     for c in e.coeffs), den
+
+
 class CycloElement:
     """Element of a cyclotomic field, as a Fraction vector on the power basis."""
 
@@ -201,24 +272,14 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        a, b = self.coeffs, o.coeffs
-        conv = [_ZERO] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        rows = self.field._reduction_rows
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return self._new(tuple(out))
+        ops = IntVectorOps(self.field.n)
+        va, da = ops.from_element(self)
+        vb, db = ops.from_element(o)
+        den = da * db
+        prod = ops.mul(va, vb)
+        if den == 1:
+            return self._new(tuple(Fraction(c) for c in prod))
+        return self._new(tuple(Fraction(c, den) for c in prod))
 
     __rmul__ = __mul__
 
@@ -330,18 +391,6 @@ class AlgebraicNumber(CycloElement):
             raise ValueError("ambient field elements have 16 coefficients")
         cs += [_ZERO] * (16 - len(cs))
         super().__init__(field, tuple(cs))
-
-
-def algebraic(coeffs=()):
-    return AlgebraicNumber(coeffs)
-
-
-def algebraic_to_json(x):
-    return [str(c) for c in x.coeffs]
-
-
-def algebraic_from_json(items):
-    return AlgebraicNumber([Fraction(s) for s in items])
 
 
 # ----------------------------------------------------------------------------
@@ -859,71 +908,3 @@ def squarefree_part(n, max_iter=2_000_000):
         if e % 2:
             d *= p
     return sign * d
-
-
-# ----------------------------------------------------------------------------
-# integer vector fast path (internal)
-# ----------------------------------------------------------------------------
-
-class IntVectorOps:
-    """Arithmetic on integer coefficient vectors of a cyclotomic order.
-
-    Used by hot loops that clear denominators first; the scalar they drop is
-    tracked by the caller.  Vectors are plain tuples of ints.
-    """
-
-    __slots__ = ("n", "degree", "rows")
-
-    _CACHE = {}
-
-    def __new__(cls, n):
-        if n in cls._CACHE:
-            return cls._CACHE[n]
-        self = object.__new__(cls)
-        field = cyclotomic_field(n)
-        self.n = n
-        self.degree = field.degree
-        self.rows = {k: tuple(int(c) for c in row)
-                     for k, row in field._reduction_rows.items()}
-        cls._CACHE[n] = self
-        return self
-
-    def zero(self):
-        return (0,) * self.degree
-
-    def one(self):
-        return (1,) + (0,) * (self.degree - 1)
-
-    def mul(self, a, b):
-        d = self.degree
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = self.rows[k]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return tuple(out)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(x * c for x in a)
-
-    def from_element(self, e):
-        """Clear denominators; returns (int vector, denominator)."""
-        den = 1
-        for c in e.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return tuple(int(c * den) for c in e.coeffs), den

@@ -24,6 +24,12 @@ def _exact_div(a, b):
     return a / b
 
 
+def _inv(x):
+    # 1/x by the coefficient type's own exact division; callers invert a
+    # leading coefficient once and multiply by the result
+    return Fraction(1) / x
+
+
 class Poly:
     """Dense univariate polynomial, ascending coefficients."""
 
@@ -84,13 +90,17 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [0] * (len(a) + len(b) - 1)
+        # a slot's first product is stored, not added to a zero, which for
+        # field-element coefficients would cost a full vector addition
+        out = [None] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
-                        out[i + j] = out[i + j] + x * y
-        return Poly(out)
+                        t = x * y
+                        k = i + j
+                        out[k] = t if out[k] is None else out[k] + t
+        return Poly([0 if c is None else c for c in out])
 
     __rmul__ = __mul__
 
@@ -141,8 +151,7 @@ class Poly:
         return self.coeffs[-1]
 
     def monic(self):
-        lc = self.leading()
-        return Poly([_exact_div(c, lc) for c in self.coeffs])
+        return self * _inv(self.leading())
 
     def derivative(self):
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
@@ -325,33 +334,44 @@ def _mod_sqrt(a, p):
     return r
 
 
+def _residue(c, prime):
+    """A rational c mod prime, or None when its denominator vanishes."""
+    c = Fraction(c)
+    if c.denominator % prime == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, prime) % prime
+
+
 def poly_mod_p(poly, prime, root_map=None):
     """Reduce coefficients mod prime; None when a denominator vanishes.
 
-    Fraction coefficients reduce directly.  Quadratic-field coefficients
-    reduce through root_map, a dict from square class D to a residue r with
-    r*r == D mod prime.
+    Fraction coefficients reduce directly.  The others reduce through
+    root_map: a quadratic-field coefficient a + b*sqrt(D) through the entry
+    for D, a residue r with r*r == D mod prime, and a cyclotomic coefficient
+    through the entry for its field, the residues of its power basis.
     """
+    root_map = root_map or {}
     out = []
     for c in poly.coeffs:
         if isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-            if c.denominator % prime == 0:
-                return None
-            out.append(c.numerator * pow(c.denominator, -1, prime) % prime)
+            parts, images = (c,), (1,)
+        elif getattr(c, "D", None) is not None:
+            r = root_map.get(c.D)
+            parts, images = (c.a, c.b), None if r is None else (1, r)
+        elif getattr(c, "field", None) in root_map:
+            parts, images = c.coeffs, root_map[c.field]
         else:
-            # quadratic-field coefficient: a + b*sqrt(D)
-            d = getattr(c, "D", None)
-            r = None if root_map is None or d is None else root_map.get(d)
-            if r is None:
-                return None
-            parts = []
-            for frac in (c.a, c.b):
-                if frac.denominator % prime == 0:
+            return None
+        if images is None:
+            return None
+        acc = 0
+        for frac, image in zip(parts, images):
+            if frac:
+                r = _residue(frac, prime)
+                if r is None:
                     return None
-                parts.append(frac.numerator * pow(frac.denominator, -1, prime)
-                             % prime)
-            out.append((parts[0] + parts[1] * r) % prime)
+                acc += r * image
+        out.append(acc % prime)
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -377,22 +397,67 @@ def _gcd_mod_p(a, b, p):
     return a
 
 
-_CERT_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
+# the last three are 1 mod 60, so cyclotomic coefficients of order 60 and
+# its divisors have images there
+_CERT_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                1000381, 1000621)
 
 
-def _root_map_for(poly, prime):
+def _primitive_root(prime):
+    """The smallest generator of the multiplicative group mod prime."""
+    m, q, factors = prime - 1, 2, []
+    while q * q <= m:
+        if m % q == 0:
+            factors.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        factors.append(m)
+    g = 2
+    while any(pow(g, (prime - 1) // f, prime) == 1 for f in factors):
+        g += 1
+    return g
+
+
+def _root_map_for(polys, prime):
+    """The root_map of poly_mod_p for all coefficients of polys, or None.
+
+    A square class D maps to a square root of D mod prime.  A cyclotomic
+    field of order n maps to the residues of its power basis, with zeta_n
+    sent to g^((prime-1)/n) for the generator g of _primitive_root: it has
+    exact order n, and nested orders get compatible images.  None when an
+    image does not exist mod prime, when a coefficient type has none, or
+    when quadratic and cyclotomic coefficients meet, because their images
+    are chosen independently and need not respect the embedding of one
+    field in the other.
+    """
     rm = {}
-    for c in poly.coeffs:
-        if isinstance(c, (int, Fraction)):
-            continue
-        d = getattr(c, "D", None)
-        if d is None:
-            return None  # coefficient type without a modular image
-        if d not in rm:
-            r = _mod_sqrt(d, prime)
-            if r is None:
-                return None
-            rm[d] = r
+    quadratic = cyclotomic = False
+    for poly in polys:
+        for c in poly.coeffs:
+            if isinstance(c, (int, Fraction)):
+                continue
+            d = getattr(c, "D", None)
+            field = getattr(c, "field", None)
+            if d is not None:
+                quadratic = True
+                if d not in rm:
+                    rm[d] = _mod_sqrt(d, prime)
+                    if rm[d] is None:
+                        return None
+            elif field is not None:
+                cyclotomic = True
+                if field not in rm:
+                    if (prime - 1) % field.n:
+                        return None
+                    z = pow(_primitive_root(prime), (prime - 1) // field.n,
+                            prime)
+                    rm[field] = [pow(z, j, prime) for j in range(field.degree)]
+            else:
+                return None  # coefficient type without a modular image
+    if quadratic and cyclotomic:
+        return None
     return rm
 
 
@@ -401,17 +466,19 @@ def certified_coprime(p, q, primes=_CERT_PRIMES):
 
     A constant gcd mod a prime that preserves both leading coefficients is a
     proof of coprimality over the ground field; a nonconstant one is not a
-    proof of the converse, so None means undecided.
+    proof of the converse, so None means undecided.  For an algebraic
+    ground field the reduction is a ring map onto the prime field, which
+    keeps the argument: the resultant of p and q maps to that of their
+    images, which is nonzero.
     """
     if not p or not q:
         return False
     for prime in primes:
-        rm_p = _root_map_for(p, prime)
-        rm_q = _root_map_for(q, prime)
-        if rm_p is None or rm_q is None:
+        rm = _root_map_for((p, q), prime)
+        if rm is None:
             continue
-        a = poly_mod_p(p, prime, rm_p)
-        b = poly_mod_p(q, prime, rm_q)
+        a = poly_mod_p(p, prime, rm)
+        b = poly_mod_p(q, prime, rm)
         if a is None or b is None:
             continue
         if len(a) != len(p.coeffs) or len(b) != len(q.coeffs):
@@ -459,8 +526,9 @@ class RationalFunction:
                     den = den // g
         lc = den.leading()
         if lc != 1:
-            num = num * _inv(lc)
-            den = den.monic()
+            inv = _inv(lc)
+            num = num * inv
+            den = den * inv
         self.num = num
         self.den = den
 
@@ -554,7 +622,12 @@ class RationalFunction:
 
 
 def compose_rational(outer, inner):
-    """outer(inner(x)) for rational functions, via homogenization."""
+    """outer(inner(x)) for rational functions, via homogenization.
+
+    With inner = a/b and m the joint degree of outer, each part sum c_i x^i
+    of outer becomes sum c_i a^i b^(m-i), built by the Horner steps
+    acc = acc*a + c_i*b^(m-i) from the top coefficient down.
+    """
     if not isinstance(inner, RationalFunction):
         inner = RationalFunction(inner if isinstance(inner, Poly)
                                  else Poly([inner]))
@@ -563,17 +636,17 @@ def compose_rational(outer, inner):
                                  else Poly([outer]))
     a, b = inner.num, inner.den
     m = max(outer.num.degree, outer.den.degree, 0)
-    a_pows = [Poly([1])]
     b_pows = [Poly([1])]
     for _ in range(m):
-        a_pows.append(a_pows[-1] * a)
         b_pows.append(b_pows[-1] * b)
 
     def homog(p):
         acc = Poly()
-        for i, c in enumerate(p.coeffs):
+        for i in range(m, -1, -1):
+            acc = acc * a
+            c = p.coeff(i)
             if c:
-                acc = acc + a_pows[i] * b_pows[m - i] * c
+                acc = acc + b_pows[m - i] * c
         return acc
 
     num = homog(outer.num)
@@ -586,12 +659,6 @@ def compose_rational(outer, inner):
 # ----------------------------------------------------------------------------
 # exact linear algebra over any of the coefficient fields
 # ----------------------------------------------------------------------------
-
-def _inv(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1) / x
-    return x.inverse()
-
 
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""

@@ -111,7 +111,8 @@ def test_fibers_listing_matches_reference(capsys):
     assert zero["d"] == 127067509222
 
 
-@pytest.mark.parametrize("suite", ["icosa", "families", "loci"])
+@pytest.mark.parametrize("suite", ["icosa", "families", "loci", "decomp",
+                                   "invariants"])
 def test_verify_suites_pass(capsys, suite):
     rc, out, err = run(capsys, "verify", "--suite", suite)
     assert rc == 0

@@ -159,6 +159,47 @@ def test_inverse_of_nonzero(a):
         assert a * a.inverse() == 1
 
 
+def schoolbook_product(n, a, b):
+    """Oracle: Fraction convolution, then long division by the monic Phi_n."""
+    mod = cyclotomic_polynomial(n)
+    d = len(mod) - 1
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(len(conv) - 1, d - 1, -1):
+        c = conv[k]
+        for j in range(d + 1):
+            conv[k - d + j] -= c * mod[j]
+    return tuple(conv[:d])
+
+
+fraction_strategy = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@pytest.mark.parametrize("n", [5, 15, 60])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cyclo_mul_matches_schoolbook(n, data):
+    field = cyclotomic_field(n)
+    vec = st.lists(fraction_strategy, min_size=field.degree,
+                   max_size=field.degree)
+    a, b = data.draw(vec), data.draw(vec)
+    scalar = data.draw(fraction_strategy)
+    x, y = field.element(a), field.element(b)
+    prod = x * y
+    assert prod.coeffs == schoolbook_product(n, a, b)
+    assert all(type(c) is Fraction for c in prod.coeffs)
+    assert (x * scalar).coeffs == tuple(c * scalar for c in a)
+    assert (scalar * x).coeffs == (x * scalar).coeffs
+
+
+def test_ambient_product_keeps_its_type():
+    prod = AlgebraicNumber([Fraction(1, 2), 3]) * ZETA
+    assert type(prod) is AlgebraicNumber
+    assert prod == ZETA * Fraction(1, 2) + ZETA * ZETA * 3
+
+
 def test_subfield_round_trip():
     f5 = cyclotomic_field(5)
     x = f5.element([1, 2, 0, 5])

@@ -16,6 +16,7 @@ from icosacurves.exactfield import OMEGA, QuadraticElement, cyclotomic_field
 from icosacurves.polyring import (
     Poly,
     RationalFunction,
+    _root_map_for,
     certified_coprime,
     clear_denominators,
     compose_rational,
@@ -224,6 +225,100 @@ def test_compose_rational_degree():
     inner = RationalFunction(Poly([F(0), 0, 1]), Poly([F(1), 1]))
     comp = compose_rational(outer, inner)
     assert comp.mapped_degree() == outer.mapped_degree() * inner.mapped_degree()
+
+
+def naive_compose(outer, inner):
+    """Oracle: sum c_i a^i b^(m-i) term by term for inner = a/b."""
+    a, b = inner.num, inner.den
+    m = max(outer.num.degree, outer.den.degree, 0)
+
+    def homog(p):
+        acc = Poly()
+        for i, c in enumerate(p.coeffs):
+            acc = acc + a ** i * b ** (m - i) * c
+        return acc
+
+    return RationalFunction(homog(outer.num), homog(outer.den))
+
+
+Z15 = cyclotomic_field(15)
+small_ints = st.integers(-4, 4)
+cyclo_coeff = st.builds(lambda cs: Z15.element(cs),
+                        st.lists(small_ints, min_size=8, max_size=8))
+rational_coeff = st.builds(F, small_ints, st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outer_num=st.lists(small_ints, min_size=1, max_size=5),
+    outer_den=st.lists(small_ints, min_size=1, max_size=5),
+    inner_num=st.lists(st.one_of(rational_coeff, cyclo_coeff),
+                       min_size=1, max_size=3),
+    inner_den=st.lists(st.one_of(rational_coeff, cyclo_coeff),
+                       min_size=1, max_size=3),
+)
+def test_compose_rational_matches_naive_sum(outer_num, outer_den,
+                                            inner_num, inner_den):
+    # constant outers and deg num < deg den arise from the list lengths
+    if not Poly(outer_den) or not Poly(inner_den):
+        return
+    outer = RationalFunction(Poly(outer_num), Poly(outer_den))
+    inner = RationalFunction(Poly(inner_num), Poly(inner_den))
+    if inner.is_constant():
+        return
+    got = compose_rational(outer, inner)
+    want = naive_compose(outer, inner)
+    assert got.num == want.num
+    assert got.den == want.den
+
+
+def test_compose_rational_edge_shapes():
+    inner = RationalFunction(Poly([Z15.zeta(), 1]), Poly([1, Z15.zeta(2)]))
+    const = compose_rational(RationalFunction(Poly([F(3, 2)])), inner)
+    assert const.num == Poly([F(3, 2)]) and const.den == Poly([F(1)])
+    low = RationalFunction(Poly([F(1)]), Poly([F(0), F(0), F(1)]))
+    assert compose_rational(low, inner).num.degree == 2
+    assert compose_rational(low, inner) == naive_compose(low, inner)
+
+
+Z60 = cyclotomic_field(60)
+cyclo60_poly = st.lists(
+    st.builds(lambda cs: Z60.element(cs),
+              st.lists(st.integers(-3, 3), min_size=16, max_size=16)),
+    min_size=2, max_size=4).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(cyclo60_poly, cyclo60_poly, cyclo60_poly, st.integers(1, 9))
+def test_certified_coprime_cyclotomic(p, h, r, c):
+    p, h, r = Poly(p), Poly(h), Poly(r)
+    # gcd(p, p*h + c) = 1 over the field and modulo every prime
+    assert certified_coprime(p, p * h + c) is True
+    # a shared factor of positive degree survives every reduction
+    assert certified_coprime(p * r, p * h) is None
+
+
+def test_certified_coprime_cyclotomic_falls_through():
+    zeta = Z60.zeta()
+    prime = 1000081
+    (w,) = poly_mod_p(Poly([zeta]), prime, _root_map_for([Poly([zeta])], prime))
+    assert pow(w, 60, prime) == 1
+    assert all(pow(w, 60 // f, prime) != 1 for f in (2, 3, 5))
+    q = Poly([zeta, 1])
+    # the leading coefficient zeta - w is nonzero but vanishes mod prime
+    vanishing_lead = Poly([1, zeta - w])
+    # a coefficient whose denominator vanishes mod prime
+    bad_denominator = Poly([zeta * F(1, prime), 1])
+    for p in (vanishing_lead, bad_denominator):
+        assert certified_coprime(p, q, primes=(prime,)) is None
+        assert certified_coprime(p, q) is True
+    # no prime below 1000081 is 1 mod 60, so none gives zeta an image
+    assert certified_coprime(q, Poly([1, zeta]), primes=(1000003,)) is None
+
+
+def test_certified_coprime_refuses_mixed_fields():
+    sqrt5 = QuadraticElement(0, 1, 5)
+    assert certified_coprime(Poly([sqrt5, 1]), Poly([Z60.zeta(), 1])) is None
 
 
 def test_rref_and_nullspace():
