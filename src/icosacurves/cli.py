@@ -134,17 +134,8 @@ def _emit_report(report, fmt):
 # verification checks, each with a stable id
 # ----------------------------------------------------------------------------
 
-_GROUP_CACHE = []
-
-
-def _the_group():
-    if not _GROUP_CACHE:
-        _GROUP_CACHE.append(build_icosahedral_group())
-    return _GROUP_CACHE[0]
-
-
 def _check_group_structure():
-    group = _the_group()
+    group = build_icosahedral_group()
     profile = group.order_profile()
     g1, g2 = group.generators
     if g1.order() != 2:
@@ -162,7 +153,7 @@ def _check_syzygy():
 
 
 def _check_fixed_field():
-    k, fn = first_nonconstant_symmetric_function(_the_group())
+    k, fn = first_nonconstant_symmetric_function(build_icosahedral_group())
     deg = fn.mapped_degree()
     cert = moebius_equivalence(fn, invariant_map())
     ok = deg == 60 and cert is not None
@@ -192,6 +183,8 @@ def _check_inner_decompositions():
 
 
 def _check_classification_table():
+    # written out independently of families._CASES: this table is the
+    # oracle that classify_genus is checked against
     offsets = {1: -1, 2: 5, 3: 15, 4: 9, 5: 14, 6: 20, 7: 24, 8: 30}
     hits = 0
     for g in range(2, 301):
@@ -363,7 +356,7 @@ def _run_verify(suite, fmt):
 
 def _cmd_icosa(args):
     if args.action == "group":
-        group = _the_group()
+        group = build_icosahedral_group()
         profile = group.order_profile()
         g1, g2 = group.generators
         doc = {"order": len(group),

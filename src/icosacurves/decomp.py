@@ -61,6 +61,33 @@ def conjugated_edge_form():
     return _conjugated_form("edge")
 
 
+def gaussian_transport(poly, m):
+    """A rational polynomial pulled back through the conjugation to even
+    form, x -> (ix + 1)/(-ix + 1), and cleared by (x + 1)^m.
+
+    That is sum_i c_i i^(m-i) (x - 1)^i (x + 1)^(m-i), with Gaussian
+    coefficients; m is the degree of the branch divisor, at least deg poly.
+    """
+    pows_minus = [Poly([1])]
+    pows_plus = [Poly([1])]
+    for _ in range(m):
+        pows_minus.append(pows_minus[-1] * Poly([-1, 1]))   # x - 1
+        pows_plus.append(pows_plus[-1] * Poly([1, 1]))      # x + 1
+    i_pows = [QuadraticElement(1, 0, -1)]
+    for _ in range(m):
+        i_pows.append(i_pows[-1] * _GAUSS_I)
+    acc = [QuadraticElement(0, 0, -1)] * (m + 1)
+    for i, c in enumerate(poly.coeffs):
+        if not c:
+            continue
+        scalar = i_pows[m - i] * c
+        term = pows_minus[i] * pows_plus[m - i]
+        for k, t in enumerate(term.coeffs):
+            if t:
+                acc[k] = acc[k] + scalar * t
+    return Poly(acc)
+
+
 def transported_invariant_map():
     """The invariant map conjugated to even form, over the Gaussian field.
 
@@ -69,33 +96,8 @@ def transported_invariant_map():
     come out with Gaussian coefficients and joint degree 60.
     """
     phi = invariant_map()
-    m = 60
-    one_minus = Poly([-1, 1])   # x - 1
-    one_plus = Poly([1, 1])     # x + 1
-    pows_minus = [Poly([1])]
-    pows_plus = [Poly([1])]
-    for _ in range(m):
-        pows_minus.append(pows_minus[-1] * one_minus)
-        pows_plus.append(pows_plus[-1] * one_plus)
-    i_pows = [QuadraticElement(1, 0, -1)]
-    for _ in range(m):
-        i_pows.append(i_pows[-1] * _GAUSS_I)
-
-    def transport(poly):
-        acc = [QuadraticElement(0, 0, -1)] * (m + 1)
-        for i, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            scalar = i_pows[m - i] * Fraction(c)
-            term = pows_minus[i] * pows_plus[m - i]
-            for k, t in enumerate(term.coeffs):
-                if t:
-                    acc[k] = acc[k] + scalar * t
-        return Poly(acc)
-
-    num = transport(phi.num)
-    den = transport(phi.den)
-    return RationalFunction(num, den)
+    return RationalFunction(gaussian_transport(phi.num, 60),
+                            gaussian_transport(phi.den, 60))
 
 
 def transported_matches_factored():

@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
+from .polyring import clear_denominators, rref, solve_linear
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -152,8 +153,9 @@ class IntVectorOps:
     """Arithmetic on integer coefficient vectors of a cyclotomic order.
 
     CycloElement multiplication and the hot loops that clear denominators
-    first both run here; the scalar they drop is tracked by the caller.
-    Vectors are plain tuples of ints.
+    first (polyring.clear_denominators) both run here; the scalar they drop
+    is tracked by the caller.  Vectors are sequences of ints; results are
+    tuples.
     """
 
     __slots__ = ("n", "degree", "rows")
@@ -203,17 +205,6 @@ class IntVectorOps:
 
     def scale(self, a, c):
         return tuple(x * c for x in a)
-
-    def from_element(self, e):
-        """Clear denominators; returns (int vector, denominator)."""
-        den = 1
-        for c in e.coeffs:
-            if c.denominator != 1:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        if den == 1:
-            return tuple(c.numerator for c in e.coeffs), 1
-        return tuple(c.numerator * (den // c.denominator)
-                     for c in e.coeffs), den
 
 
 class CycloElement:
@@ -272,11 +263,10 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ops = IntVectorOps(self.field.n)
-        va, da = ops.from_element(self)
-        vb, db = ops.from_element(o)
+        va, da = clear_denominators(self.coeffs)
+        vb, db = clear_denominators(o.coeffs)
         den = da * db
-        prod = ops.mul(va, vb)
+        prod = IntVectorOps(self.field.n).mul(va, vb)
         if den == 1:
             return self._new(tuple(Fraction(c) for c in prod))
         return self._new(tuple(Fraction(c, den) for c in prod))
@@ -437,44 +427,11 @@ def to_subfield(x, n):
     imgs = _subfield_basis_images(n)
     k = len(imgs)
     # solve sum_j c_j * imgs[j] == x  (16 equations, k unknowns)
-    rows = [[imgs[j].coeffs[i] for j in range(k)] + [x.coeffs[i]]
-            for i in range(16)]
-    sol = _solve_overdetermined(rows, k)
+    rows = [[imgs[j].coeffs[i] for j in range(k)] for i in range(16)]
+    sol = solve_linear(rows, x.coeffs)
     if sol is None:
         return None
     return cyclotomic_field(n).element(sol)
-
-
-def _solve_overdetermined(rows, k):
-    """Gaussian elimination for a consistent overdetermined system, or None."""
-    m = [list(r) for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        lead = m[r][c]
-        m[r] = [v / lead for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][k]:
-            return None
-    sol = [_ZERO] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][k]
-    # columns without pivots stay zero; verify nothing was underdetermined
-    for i in range(r):
-        lhs = sum(m[i][j] * sol[j] for j in range(k))
-        if lhs != m[i][k]:
-            return None
-    return sol
 
 
 # ----------------------------------------------------------------------------
@@ -542,21 +499,12 @@ def _mixed_state():
                 if mask & (1 << b):
                     v = v * gens[b]
             basis.append(v)
-        cols = [list(v.coeffs) for v in basis]
         # invert the 16x16 change-of-basis matrix (columns = basis vectors)
         n = 16
-        aug = [[cols[j][i] for j in range(n)] + [_ONE if i == j2 else _ZERO
-               for j2 in range(n)] for i in range(n)]
-        for c in range(n):
-            p = next(i for i in range(c, n) if aug[i][c])
-            aug[c], aug[p] = aug[p], aug[c]
-            lead = aug[c][c]
-            aug[c] = [v / lead for v in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        inv = [row[n:] for row in aug]
+        aug = [[basis[j].coeffs[i] for j in range(n)]
+               + [_ONE if i == j2 else _ZERO for j2 in range(n)]
+               for i in range(n)]
+        inv = [row[n:] for row in rref(aug)[0]]
         _MIXED_STATE["basis"] = basis
         _MIXED_STATE["inv"] = inv
         _MIXED_STATE["gens"] = gens
@@ -776,9 +724,8 @@ def embed_subfield(x):
         return x.rational_value()
     sq = x * x
     # solve sq == alpha*x + beta
-    rows = [[x.coeffs[i], _ONE if i == 0 else _ZERO, sq.coeffs[i]]
-            for i in range(16)]
-    sol = _solve_overdetermined(rows, 2)
+    rows = [[x.coeffs[i], _ONE if i == 0 else _ZERO] for i in range(16)]
+    sol = solve_linear(rows, sq.coeffs)
     if sol is None:
         raise NotInQuadraticSubfield(
             "element generates a subfield of degree above two")

@@ -15,6 +15,7 @@ from .decomp import (
     conjugated_edge_form,
     conjugated_face_form,
     conjugated_vertex_form,
+    gaussian_transport,
 )
 from .errors import (
     DegenerateBranchValue,
@@ -23,7 +24,6 @@ from .errors import (
     NotEven,
     NotInLocus,
 )
-from .exactfield import QuadraticElement
 from .icosa import edge_form, face_form, vertex_form
 from .polyring import Poly
 
@@ -120,8 +120,8 @@ def curve_equation(g, lams, model="x5"):
     desc = classify_genus(g)
     lams = list(lams)
     if len(lams) != desc.delta:
-        raise ValueError(
-            f"expected {desc.delta} branch values, got {len(lams)}")
+        raise InconsistentData("wrong number of branch values for the genus",
+                               expected=desc.delta, got=len(lams))
     for i, a in enumerate(lams):
         for b in lams[i + 1:]:
             if a == b:
@@ -180,26 +180,7 @@ def models_equivalent(plain, even):
         raise ValueError("expected one plain and one even model")
     # clear with the full branch-divisor degree 2g+2: an odd-degree plain
     # model branches at infinity, and the even model sees that point at -1
-    d = 2 * plain.genus + 2
-    gi = QuadraticElement(0, 1, -1)
-    pows_minus = [Poly([1])]
-    pows_plus = [Poly([1])]
-    for _ in range(d):
-        pows_minus.append(pows_minus[-1] * Poly([-1, 1]))
-        pows_plus.append(pows_plus[-1] * Poly([1, 1]))
-    ipow = [QuadraticElement(1, 0, -1)]
-    for _ in range(d):
-        ipow.append(ipow[-1] * gi)
-    acc = [QuadraticElement(0, 0, -1)] * (d + 1)
-    for i, c in enumerate(plain.f.coeffs):
-        if not c:
-            continue
-        scalar = ipow[d - i] * c
-        term = pows_minus[i] * pows_plus[d - i]
-        for k, t in enumerate(term.coeffs):
-            if t:
-                acc[k] = acc[k] + scalar * t
-    transported = Poly(acc)
+    transported = gaussian_transport(plain.f, 2 * plain.genus + 2)
     target = even.f
     if transported.degree != target.degree:
         return False

@@ -1,9 +1,7 @@
 """Loader for the frozen reference data shipped with the package.
 
 The JSON file holds exact integers and rationals as strings; this module
-parses them once into polynomials and field elements.  The environment
-variable ICOSA_FIXTURES overrides the bundled file, which keeps the data
-swappable for audits without touching the package.
+parses them once into polynomials and field elements.
 """
 
 import json
@@ -15,9 +13,6 @@ from .polyring import Poly, RationalFunction
 
 
 def fixtures_path():
-    env = os.environ.get("ICOSA_FIXTURES")
-    if env:
-        return env
     return os.path.join(os.path.dirname(__file__), "fixtures.json")
 
 

@@ -7,7 +7,6 @@ appear as fixed polynomials whose combination gives the degree-60 invariant
 map of the projective line.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -27,7 +26,19 @@ from .exactfield import (
     to_subfield,
 )
 from .fixtures import load_fixtures
-from .polyring import Poly, RationalFunction, interpolate, nullspace
+from .polyring import (
+    Poly,
+    RationalFunction,
+    clear_denominators,
+    interpolate,
+    nullspace,
+)
+
+
+def _first_entry_one(entries):
+    """The entries scaled so the first nonzero one is 1."""
+    inv = next(e for e in entries if e).inverse()
+    return tuple(e * inv for e in entries)
 
 
 class MoebiusMap:
@@ -45,10 +56,7 @@ class MoebiusMap:
     def canonical_entries(self):
         """Entries scaled so the first nonzero one is 1."""
         if self._canon is None:
-            entries = (self.a, self.b, self.c, self.d)
-            lead = next(e for e in entries if e)
-            inv = lead.inverse()
-            self._canon = tuple(e * inv for e in entries)
+            self._canon = _first_entry_one((self.a, self.b, self.c, self.d))
         return self._canon
 
     def __eq__(self, other):
@@ -122,13 +130,6 @@ class IcosahedralGroup:
         return profile
 
 
-def _canon5(mat):
-    """Canonical scaling of a 2x2 matrix over the 5th cyclotomic field."""
-    lead = next(e for e in mat if e)
-    inv = lead.inverse()
-    return tuple(e * inv for e in mat)
-
-
 _GROUP = None
 
 
@@ -143,20 +144,20 @@ def build_icosahedral_group():
     z2 = f5.zeta(2)
     gen_a = (w, one, one, -w)                # order 2
     gen_b = (z2, f5.zero(), f5.zero(), one)  # order 5
-    gens = [_canon5(gen_a), _canon5(gen_b)]
+    gens = [_first_entry_one(gen_a), _first_entry_one(gen_b)]
 
     def mat_mul(m, n):
         return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
                 m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
 
-    identity = _canon5((one, f5.zero(), f5.zero(), one))
+    identity = _first_entry_one((one, f5.zero(), f5.zero(), one))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = _canon5(mat_mul(g, m))
+                prod = _first_entry_one(mat_mul(g, m))
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -218,15 +219,6 @@ def _joint_small_field(values):
     raise ValueError("values escape the ambient field")  # unreachable
 
 
-def _int_vectors(field_elems):
-    """Clear denominators jointly; the common scalar is irrelevant here."""
-    den = 1
-    for e in field_elems:
-        for c in e.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return [tuple(int(c * den) for c in e.coeffs) for e in field_elems]
-
-
 def orbit_invariance_check(func, group):
     """Exact check that func(g(x)) == func(x) for every g in the group.
 
@@ -243,7 +235,10 @@ def orbit_invariance_check(func, group):
             entries + [to_ambient(c) for c in num.coeffs]
             + [to_ambient(c) for c in den.coeffs])
         ops = IntVectorOps(n)
-        vecs = _int_vectors(subs)
+        # denominators cleared jointly; the common scalar is irrelevant here
+        ints, _ = clear_denominators([c for s in subs for c in s.coeffs])
+        k = ops.degree
+        vecs = [tuple(ints[i:i + k]) for i in range(0, len(ints), k)]
         ga, gb, gc, gd = vecs[: 4]
         ncoef = vecs[4: 4 + len(num.coeffs)]
         dcoef = vecs[4 + len(num.coeffs):]
@@ -359,7 +354,8 @@ class _OrbitProductSampler:
                 f5 = cyclotomic_field(5)
                 sub = tuple(f5.element(s.coeffs if n == 5 else [
                     s.rational_value()]) for s in subs)
-            mats.append(_int_vectors(sub))
+            ints, _ = clear_denominators([c for e in sub for c in e.coeffs])
+            mats.append([tuple(ints[i:i + 4]) for i in range(0, 16, 4)])
         self.mats = mats
         self.size = len(mats)
 

@@ -29,7 +29,8 @@ from .errors import (
     SingularSystem,
 )
 from .exactfield import QuadraticElement
-from .polyring import Poly, RationalFunction, nullspace
+from .families import _CASES
+from .polyring import Poly, RationalFunction, clear_denominators, nullspace
 
 
 class BinaryForm:
@@ -201,16 +202,10 @@ def _primitive(form):
     Exotic coefficient types pass through untouched with scalar one; the
     point is to keep the transvectant inner loops on machine integers.
     """
-    den = 1
-    for c in form.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        elif not isinstance(c, int):
-            return Fraction(1), form
-    ints = [int(c * den) for c in form.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    if not all(isinstance(c, (int, Fraction)) for c in form.coeffs):
+        return Fraction(1), form
+    ints, den = clear_denominators(form.coeffs)
+    g = math.gcd(*ints)
     if g == 0:
         return Fraction(1), form
     return Fraction(g, den), BinaryForm(form.degree, [v // g for v in ints])
@@ -368,18 +363,6 @@ def check_group_relation(u, genus=None):
     return "neither"
 
 
-# t-degrees of the even multiplier products, keyed by d - 30*delta
-_MULTIPLIER_BY_OFFSET = {
-    0: (),
-    6: ("vertex",),
-    10: ("face",),
-    14: ("edge",),
-    16: ("vertex", "face"),
-    20: ("edge", "vertex"),
-    24: ("edge", "face"),
-    30: ("edge", "face", "vertex"),
-}
-
 _EVEN_CACHE = {}
 
 
@@ -401,6 +384,14 @@ def _even_multiplier(name):
             edge = conjugated_edge_form()
             _EVEN_CACHE[name] = _even_part(Poly(edge.coeffs[1:]))
     return _EVEN_CACHE[name]
+
+
+def even_multiplier_product(names):
+    """The product of the even multipliers of one family case, in t = x^2."""
+    mult = Poly([1])
+    for name in sorted(names):
+        mult = mult * _even_multiplier(name)
+    return mult
 
 
 def _fiber_pair():
@@ -427,12 +418,14 @@ def symmetric_from_dihedral(u, delta):
     d = u.d
     if delta < 1:
         raise ValueError("dimension must be at least one")
+    # d - 30*delta is the t-degree of the case's multiplier product; the
+    # even vertex, face and edge multipliers have t-degrees 6, 10 and 14
     offset = d - 30 * delta
-    if offset not in _MULTIPLIER_BY_OFFSET:
+    shapes = [names for _, _, names in _CASES.values()
+              if sum(_even_multiplier(n).degree for n in names) == offset]
+    if not shapes:
         raise ValueError("invariant vector shape matches no family")
-    mult = Poly([1])
-    for name in _MULTIPLIER_BY_OFFSET[offset]:
-        mult = mult * _even_multiplier(name)
+    mult = even_multiplier_product(shapes[0])
     top, bottom = _fiber_pair()
     cols = []
     for m in range(delta + 1):

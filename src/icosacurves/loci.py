@@ -37,18 +37,20 @@ from .fixtures import load_fixtures
 from .invariants import (
     DihedralInvariants,
     _demote,
-    _even_multiplier,
     _fiber_pair,
     check_group_relation,
     dihedral_invariants,
+    even_multiplier_product,
     invariant_set,
 )
 from .polyring import (
     Poly,
     RationalFunction,
     _bareiss_det,
+    clear_denominators,
     integer_primitive,
     interpolate,
+    sylvester_matrix,
 )
 
 
@@ -153,30 +155,16 @@ def _constant_ratio(reference, computed):
     return c
 
 
-def _integer_poly(poly):
-    prim = integer_primitive(poly)
-    return Poly([int(c) for c in prim.coeffs])
-
-
 def _integer_pair(rf):
     """Integer numerator and denominator with exactly the ratio of rf.
 
     One common rescaling keeps num/den equal to the input; scaling the
     two halves separately would silently change the function.
     """
-    den_l = 1
-    for p in (rf.num, rf.den):
-        for c in p.coeffs:
-            q = Fraction(c).denominator
-            den_l = den_l * q // math.gcd(den_l, q)
-    num_g = 0
-    for p in (rf.num, rf.den):
-        for c in p.coeffs:
-            num_g = math.gcd(num_g, (Fraction(c) * den_l).numerator)
-    scale = Fraction(den_l, num_g)
-    n = Poly([int(Fraction(c) * scale) for c in rf.num.coeffs])
-    d = Poly([int(Fraction(c) * scale) for c in rf.den.coeffs])
-    return n, d
+    ints, _ = clear_denominators(rf.num.coeffs + rf.den.coeffs)
+    g = math.gcd(*ints)
+    k = len(rf.num.coeffs)
+    return Poly([c // g for c in ints[:k]]), Poly([c // g for c in ints[k:]])
 
 
 def _eliminate(i1, i2):
@@ -202,7 +190,8 @@ def _eliminate(i1, i2):
         pts = []
         for b in ys:
             qc = [n2.coeff(j) - b * d2.coeff(j) for j in range(m2 + 1)]
-            pts.append((Fraction(b), Fraction(_fixed_resultant(pc, qc))))
+            det = _bareiss_det(sylvester_matrix(pc, qc))
+            pts.append((Fraction(b), Fraction(det)))
         slices.append(interpolate(pts, degree=m1))
     cols = []
     for k in range(m1 + 1):
@@ -248,23 +237,19 @@ def _reduce_plane_model(cols):
         extra = c.den // c.den.gcd(den)
         den = den * extra
     out = {}
-    scale_num = 0
-    scale_den = 1
     for k, c in enumerate(P.coeffs):
         col = c.num * (den // c.den)
         for j in range(col.degree + 1):
             v = Fraction(col.coeff(j))
             if v:
                 out[(j, k)] = v
-                scale_num = math.gcd(scale_num, v.numerator)
-                scale_den = scale_den * v.denominator // math.gcd(
-                    scale_den, v.denominator)
     if not out:
         raise EliminationDegenerate("plane model reduced to zero")
-    scale = Fraction(scale_den, scale_num)
+    ints, _ = clear_denominators(out.values())
+    g = math.gcd(*ints)
     if out[max(out)] < 0:
-        scale = -scale
-    return {jk: int(v * scale) for jk, v in out.items()}
+        g = -g
+    return {jk: c // g for jk, c in zip(out, ints)}
 
 
 def evaluate_plane_model(F, x, y):
@@ -290,23 +275,6 @@ def _divided_kernel(num, den, lam0):
     if carry != 0:
         raise InconsistentData("kernel division left a remainder")
     return quot
-
-
-def _fixed_resultant(pc, qc):
-    """Sylvester determinant for integer coefficient lists of fixed length."""
-    m = len(pc) - 1
-    n = len(qc) - 1
-    if m <= 0 or n <= 0:
-        return 0
-    size = m + n
-    pdesc = list(reversed(pc))
-    qdesc = list(reversed(qc))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + pdesc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qdesc + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
 
 
 def _strip_factor(poly, factor):
@@ -349,12 +317,12 @@ def singular_fibers(locus):
     if gz.degree != 2:
         raise UnexpectedFactorStructure(
             "numerators do not share a quadratic", degree=gz.degree)
-    q_zero = _integer_poly(gz)
-    q_inf = _integer_poly(locus.I2_of_lambda)
+    q_zero = integer_primitive(gz)
+    q_inf = integer_primitive(locus.I2_of_lambda)
     if q_inf.degree != 2:
         raise UnexpectedFactorStructure("I2 is not quadratic",
                                         degree=q_inf.degree)
-    inf_monic = Poly([Fraction(c) for c in q_inf.coeffs]).monic()
+    inf_monic = q_inf.monic()
     for den, power in ((i1.den, 2), (i2.den, 3)):
         if divmod(inf_monic ** power, den)[1]:
             raise UnexpectedFactorStructure(
@@ -369,19 +337,20 @@ def singular_fibers(locus):
     for lam0 in _sample_values(bound + 6):
         p1 = _divided_kernel(n1, d1, lam0)
         p2 = _divided_kernel(n2, d2, lam0)
-        points.append((Fraction(lam0), Fraction(_fixed_resultant(p1, p2))))
+        det = _bareiss_det(sylvester_matrix(p1, p2))
+        points.append((Fraction(lam0), Fraction(det)))
     res = interpolate(points, degree=bound)
     if not res:
         raise UnexpectedFactorStructure("collision resultant vanished")
-    work = Poly([Fraction(c) for c in integer_primitive(res).coeffs]).monic()
-    zero_monic = Poly([Fraction(c) for c in q_zero.coeffs]).monic()
+    work = integer_primitive(res).monic()
+    zero_monic = q_zero.monic()
     work = _strip_factor(work, zero_monic)
     work = _strip_factor(work, inf_monic)
     work = (work // work.gcd(work.derivative())).monic()
     if work.degree != 2:
         raise UnexpectedFactorStructure(
             "collision residue is not quadratic", degree=work.degree)
-    q_coll = _integer_poly(work)
+    q_coll = integer_primitive(work)
 
     fx = load_fixtures()
     refs = fx.moduli_fields.get(locus.case_no, {})
@@ -442,7 +411,7 @@ def field_of_moduli_at(fiber, locus):
     there is written as a + b lam; b != 0 certifies that adjoining it is
     the same as adjoining a root of q, so the field is Q(sqrt(disc)).
     """
-    q = Poly([Fraction(c) for c in fiber.q.coeffs]).monic()
+    q = fiber.q.monic()
     disc = fiber.D
     if disc >= 0 and math.isqrt(disc) ** 2 == disc:
         raise ValueError("fiber quadratic is reducible")
@@ -543,10 +512,7 @@ def family_invariant_functions(case_no):
         return _SYMBOLIC_U[case_no]
     g = smallest_one_dimensional_genus(case_no)
     desc = classify_genus(g)
-    mult = Poly([1])
-    for name in ("edge", "face", "vertex"):
-        if name in desc.multipliers:
-            mult = mult * _even_multiplier(name)
+    mult = even_multiplier_product(desc.multipliers)
     top, bottom = _fiber_pair()
     mtop = mult * top
     mbot = mult * bottom

@@ -190,25 +190,28 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def clear_denominators(poly):
-    """For a Fraction-coefficient polynomial: (integer coeff list, multiplier)."""
+def clear_denominators(values):
+    """(ints, den) for ints and Fractions: the smallest den > 0 with every
+    values[i] * den == ints[i] an integer."""
     den = 1
-    for c in poly.coeffs:
-        c = Fraction(c)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(Fraction(c) * den) for c in poly.coeffs], den
+    for c in values:
+        if c.denominator != 1:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    if den == 1:
+        return [c.numerator for c in values], 1
+    return [c.numerator * (den // c.denominator) for c in values], den
+
 
 def integer_primitive(poly):
-    """Strip integer content (Fraction coefficients); leading made positive."""
+    """The content-free integer multiple of a Fraction-coefficient
+    polynomial, with positive leading coefficient."""
     if not poly:
         return poly
-    ints, _ = clear_denominators(poly)
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
+    ints, _ = clear_denominators(poly.coeffs)
+    g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
-    return Poly([Fraction(c, g) for c in ints])
+    return Poly([c // g for c in ints])
 
 
 # ----------------------------------------------------------------------------
@@ -274,6 +277,24 @@ def _bareiss_det(m):
     return sign * m[n - 1][n - 1]
 
 
+def sylvester_matrix(pc, qc):
+    """Sylvester matrix of two ascending integer coefficient lists of fixed
+    length, the rows of the first list on top.
+
+    The lengths fix the formal degrees, so a leading coefficient may be 0.
+    When either formal degree is at most 0 the resultant is taken as 0 and
+    the matrix is [[0]].
+    """
+    m, n = len(pc) - 1, len(qc) - 1
+    if m <= 0 or n <= 0:
+        return [[0]]
+    pdesc = list(reversed(pc))
+    qdesc = list(reversed(qc))
+    rows = [[0] * i + pdesc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + qdesc + [0] * (m - 1 - i) for i in range(m)]
+    return rows
+
+
 def resultant(p, q):
     """Resultant of two Fraction-coefficient polynomials.
 
@@ -287,17 +308,9 @@ def resultant(p, q):
         return Fraction(p.coeffs[0]) ** n
     if n == 0:
         return Fraction(q.coeffs[0]) ** m
-    pi, pa = clear_denominators(p)
-    qi, qa = clear_denominators(q)
-    size = m + n
-    rows = []
-    pdesc = list(reversed(pi))
-    qdesc = list(reversed(qi))
-    for i in range(n):
-        rows.append([0] * i + pdesc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qdesc + [0] * (size - n - 1 - i))
-    det = _bareiss_det(rows)
+    pi, pa = clear_denominators(p.coeffs)
+    qi, qa = clear_denominators(q.coeffs)
+    det = _bareiss_det(sylvester_matrix(pi, qi))
     return Fraction(det) / (Fraction(pa) ** n * Fraction(qa) ** m)
 
 

@@ -46,6 +46,19 @@ def test_unsupported_genus_is_a_domain_error(capsys):
     assert doc["error"]["type"] == "NotInLocus"
 
 
+@pytest.mark.parametrize("argv", [
+    ("curve", "--genus", "29", "--lambda", "1,2"),
+    ("curve", "--genus", "59", "--lambda", "2", "--model", "x2"),
+    ("model", "--genus", "29"),
+])
+def test_wrong_branch_value_count_is_a_domain_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "InconsistentData"
+
+
 def test_bad_flag_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "--badflag")
     assert rc == 64

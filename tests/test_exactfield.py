@@ -34,6 +34,7 @@ from icosacurves.exactfield import (
     to_ambient,
     to_subfield,
 )
+from icosacurves.polyring import clear_denominators
 
 
 def brute_cyclotomic(n):
@@ -318,8 +319,8 @@ def test_int_vector_ops_match_field():
     f = cyclotomic_field(5)
     a = f.element([1, -2, 3, 4])
     b = f.element([0, 7, -1, 2])
-    va, da = ops.from_element(a)
-    vb, db = ops.from_element(b)
+    va, da = clear_denominators(a.coeffs)
+    vb, db = clear_denominators(b.coeffs)
     assert da == db == 1
     prod = ops.mul(va, vb)
     assert f.element(prod) == a * b

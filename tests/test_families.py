@@ -8,6 +8,7 @@ import pytest
 from icosacurves.errors import (
     DegenerateBranchValue,
     DuplicateBranchValue,
+    InconsistentData,
     NotEven,
     NotInLocus,
 )
@@ -119,7 +120,7 @@ def test_curve_equation_rejects_bad_branch_values():
         curve_equation(59, [F(2), F(2)], "x5")
     with pytest.raises(DegenerateBranchValue):
         curve_equation(29, [F(0)], "x5")
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData):
         curve_equation(29, [F(2), F(3)], "x5")
 
 

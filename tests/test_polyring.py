@@ -1,5 +1,7 @@
 """Tests for polynomials, rational functions, and exact linear algebra."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from icosacurves.exactfield import OMEGA, QuadraticElement, cyclotomic_field
 from icosacurves.polyring import (
     Poly,
     RationalFunction,
+    _bareiss_det,
     _root_map_for,
     certified_coprime,
     clear_denominators,
@@ -28,6 +31,7 @@ from icosacurves.polyring import (
     resultant,
     rref,
     solve_linear,
+    sylvester_matrix,
 )
 
 F = Fraction
@@ -87,7 +91,7 @@ def test_poly_over_cyclotomic_coefficients():
 
 def test_clear_denominators_and_primitive():
     p = Poly([F(1, 2), F(3, 4), F(5)])
-    ints, mult = clear_denominators(p)
+    ints, mult = clear_denominators(p.coeffs)
     assert mult == 4
     assert ints == [2, 3, 20]
     assert integer_primitive(Poly([F(4), F(-8), F(12)])) == Poly([1, -2, 3])
@@ -145,6 +149,50 @@ def test_resultant_matches_sylvester_oracle(a, b):
     if p.degree < 1 or q.degree < 1:
         return
     assert resultant(p, q) == sylvester_det(p, q)
+
+
+def _linear_product(lead, roots):
+    p = Poly([lead])
+    for r in roots:
+        p = p * Poly([-r, 1])
+    return p
+
+
+small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_lead = small_rational.filter(lambda c: c != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_lead, st.lists(small_rational, min_size=1, max_size=4),
+       nonzero_lead, st.lists(small_rational, min_size=1, max_size=4))
+def test_resultant_of_linear_products(lp, roots_p, lq, roots_q):
+    # Res(lp prod (x - a_i), lq prod (x - b_j)) = lp^n lq^m prod (a_i - b_j)
+    p, q = _linear_product(lp, roots_p), _linear_product(lq, roots_q)
+    m, n = len(roots_p), len(roots_q)
+    want = lp ** n * lq ** m
+    for a in roots_p:
+        for b in roots_q:
+            want *= a - b
+    assert resultant(p, q) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-6, 6).filter(bool),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+       st.integers(-6, 6).filter(bool),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+       st.integers(0, 2))
+def test_sylvester_matrix_fixed_length(lp, roots_p, lq, roots_q, pad):
+    p, q = _linear_product(lp, roots_p), _linear_product(lq, roots_q)
+    n = len(roots_q)
+    # each zero leading coefficient on p's list multiplies by (-1)^n lq
+    pc = [int(c) for c in p.coeffs] + [0] * pad
+    qc = [int(c) for c in q.coeffs]
+    want = resultant(p, q) * ((-1) ** n * lq) ** pad
+    assert _bareiss_det(sylvester_matrix(pc, qc)) == want
+    # a formal degree of at most 0 gives 0
+    assert _bareiss_det(sylvester_matrix(pc[:1], qc)) == 0
+    assert _bareiss_det(sylvester_matrix(pc, [lq])) == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -343,6 +391,52 @@ def test_solve_linear():
     assert sol == [F(2), F(1)]
     assert solve_linear([[F(1), F(1)]], [F(3)]) is None  # underdetermined
     assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(3), F(7)]) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4))
+def test_rref_and_solve_linear_on_random_systems(seed, size):
+    rng = random.Random(seed)
+
+    def vec():
+        return [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)]
+
+    def apply(rows, x):
+        return [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+
+    x = vec()
+    rows = [vec() for _ in range(size)]
+    # a combination of the other rows
+    coefs = [F(rng.randint(-3, 3)) for _ in range(size - 1)]
+    last = [sum((c * r[j] for c, r in zip(coefs, rows)), F(0))
+            for j in range(size)]
+    if naive_det(rows):
+        red, piv = rref(rows)
+        assert piv == list(range(size))
+        assert red == [[int(i == j) for j in range(size)] for i in range(size)]
+        assert solve_linear(rows, apply(rows, x)) == x
+        over = rows + [last]   # overdetermined and consistent
+        assert solve_linear(over, apply(over, x)) == x
+    singular = rows[:-1] + [last]
+    assert len(rref(singular)[1]) < size
+    b = apply(singular, x)
+    assert solve_linear(singular, b) is None   # consistent, not unique
+    b[-1] += 1
+    aug = [row + [v] for row, v in zip(singular, b)]
+    assert size in rref(aug)[1]
+    assert solve_linear(singular, b) is None   # inconsistent
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                          st.fractions(max_denominator=10 ** 4)),
+                min_size=1, max_size=8))
+def test_clear_denominators_is_minimal(values):
+    ints, den = clear_denominators(values)
+    assert all(isinstance(c, int) for c in ints)
+    assert [F(c) for c in ints] == [v * den for v in values]
+    # the smallest positive multiplier is the lcm of the denominators
+    assert den == math.lcm(*(F(v).denominator for v in values))
 
 
 def test_nullspace_over_quadratic_field():
