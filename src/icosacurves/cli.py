@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -480,6 +481,13 @@ def _cmd_verify(args):
 # ----------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain numbers such as -3 for negative values
+        # and reads -3/7 or -3,2 as a flag; no option here starts with a
+        # digit, so any "-<digit>" token is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

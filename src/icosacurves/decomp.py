@@ -15,9 +15,7 @@ from .errors import (
     ConstantInner,
     DegreeMismatch,
     FactorMismatch,
-    FixedPointsOutsideField,
     IdentityFailed,
-    InconsistentData,
 )
 from .exactfield import I_UNIT, QuadraticElement
 from .fixtures import load_fixtures
@@ -161,7 +159,7 @@ def _compress_power(poly, m):
     return Poly(out)
 
 
-def left_factor(f, h, max_rows=None):
+def left_factor(f, h):
     """Solve f == g(h) for the outer map g; None when no such g exists.
 
     The answer is always verified by exact composition.  A constant inner
@@ -200,9 +198,8 @@ def left_factor(f, h, max_rows=None):
     p_cols = [f.den * bj * -1 for bj in blend]
     q_cols = [f.num * bj for bj in blend]
     deg = max(c.degree for c in p_cols + q_cols)
-    nrows = deg + 1 if max_rows is None else min(deg + 1, max_rows)
     rows = []
-    for r in range(nrows):
+    for r in range(deg + 1):
         rows.append([c.coeff(r) for c in p_cols] + [c.coeff(r) for c in q_cols])
     for vec in nullspace(rows, 2 * (k + 1)):
         den = Poly(vec[k + 1:])
@@ -214,54 +211,17 @@ def left_factor(f, h, max_rows=None):
     return None
 
 
-def cyclic_symmetric_inner(gamma, order):
-    """First nonconstant elementary symmetric function of a cyclic orbit.
-
-    The orbit is {x, gamma(x), ..., gamma^(order-1)(x)}; the returned
-    rational function is fixed by gamma and has degree at most the order.
-    """
-    maps = [MoebiusMap(1, 0, 0, 1)]
-    for _ in range(order - 1):
-        maps.append(maps[-1].compose(gamma))
-    # product over the orbit of (den_j * T - num_j); coefficients are
-    # polynomials in x of degree <= order
-    tpoly = [Poly([1])]
-    for mp in maps:
-        numj = Poly([mp.b, mp.a])
-        denj = Poly([mp.d, mp.c])
-        nxt = [Poly() for _ in range(len(tpoly) + 1)]
-        for deg_t, coef in enumerate(tpoly):
-            if coef:
-                nxt[deg_t + 1] = nxt[deg_t + 1] + coef * denj
-                nxt[deg_t] = nxt[deg_t] - coef * numj
-        tpoly = nxt
-    top = tpoly[order]
-    for i in range(1, order + 1):
-        cand = RationalFunction(tpoly[order - i] * (-1) ** i, top)
-        if not cand.is_constant():
-            return cand
-    raise InconsistentData("cyclic orbit has no nonconstant symmetric function")
-
-
 def inner_cubic_decomposition():
     """Write the invariant map as outer(inner) with a degree-3 inner map.
 
-    Preferred route: diagonalize an order-3 group element (its fixed points
-    lie in the ambient field) and compress the conjugated map through x^3.
-    If diagonalization were impossible the symmetric-function inner map is
-    used with the generic solver.  Returns (outer, inner), verified.
+    Diagonalize an order-3 group element (its fixed points lie in the
+    ambient field Q(zeta60)) and compress the conjugated map through x^3.
+    Returns (outer, inner), verified.
     """
     group = build_icosahedral_group()
     phi = invariant_map()
     gamma = next(g for g in group.elements if g.order() == 3)
-    try:
-        sigma, _, _ = normalize_element_to_scaling(gamma)
-    except FixedPointsOutsideField:
-        inner = cyclic_symmetric_inner(gamma, 3)
-        outer = left_factor(phi, inner, max_rows=60)
-        if outer is None:
-            raise IdentityFailed("no cubic inner decomposition found")
-        return outer, inner
+    sigma, _, _ = normalize_element_to_scaling(gamma)
     psi = compose_rational(phi, sigma.inverse().as_rational_function())
     cube = RationalFunction(Poly([0, 0, 0, 1]))
     outer = left_factor(psi, cube)

@@ -606,15 +606,25 @@ def cyclo_sqrt(x):
 # ----------------------------------------------------------------------------
 
 class QuadraticElement:
-    """a + b*sqrt(D) with rational a, b and a fixed squarefree integer D."""
+    """a + b*sqrt(D) with a fixed squarefree integer D.
+
+    The parts a, b are rationals or themselves QuadraticElements over one
+    other square class d, which makes the tower Q(sqrt(d))(sqrt(D)): with
+    D = -1 this is Q(sqrt(d), i), where a Gaussian-coefficient model is
+    evaluated at a parameter in Q(sqrt(d)).  Rationals combine with
+    either level; an element of Q(sqrt(d)) enters the tower only as a part,
+    since two square classes at one level do not mix.
+    """
 
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a, b, D):
         if D in (0, 1):
             raise ValueError("D must be a nonsquare integer")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if isinstance(a, (Fraction, QuadraticElement)) \
+            else Fraction(a)
+        self.b = b if isinstance(b, (Fraction, QuadraticElement)) \
+            else Fraction(b)
         self.D = int(D)
 
     def _coerce(self, other):

@@ -23,14 +23,13 @@ from .decomp import (
 from .errors import (
     DegenerateLeadingOrTrailing,
     DegreeTooSmall,
-    DivisionByZero,
     NormalizationUndefined,
     OrderTooLarge,
     SingularSystem,
 )
 from .exactfield import QuadraticElement
 from .families import _CASES
-from .polyring import Poly, RationalFunction, clear_denominators, nullspace
+from .polyring import Poly, _inv, clear_denominators, nullspace
 
 
 class BinaryForm:
@@ -59,16 +58,6 @@ class BinaryForm:
 
     def to_poly(self):
         return Poly(tuple(reversed(self.coeffs)))
-
-    def dx(self):
-        n = self.degree
-        return BinaryForm(n - 1,
-                          (self.coeffs[i] * (n - i) for i in range(n)))
-
-    def dy(self):
-        n = self.degree
-        return BinaryForm(n - 1,
-                          (self.coeffs[i + 1] * (i + 1) for i in range(n)))
 
     def __mul__(self, other):
         m, n = self.degree, other.degree
@@ -276,14 +265,6 @@ def covariant_vanishing_checks(f, genus):
     return out
 
 
-def _inverse(x):
-    if isinstance(x, QuadraticElement):
-        return x.inverse()
-    if isinstance(x, RationalFunction):
-        return 1 / x
-    return Fraction(1) / Fraction(x)
-
-
 def _demote(x):
     """Drop a quadratic wrapper whose irrational part vanishes."""
     if isinstance(x, QuadraticElement) and x.b == 0:
@@ -327,10 +308,10 @@ def dihedral_invariants(b):
     if b[0] == 0 or b[d] == 0:
         raise DegenerateLeadingOrTrailing(
             "leading or trailing even coefficient vanishes")
-    inv0 = _inverse(b[0])
+    inv0 = _inv(b[0])
     low = b[1] * inv0
     high = b[d - 1] * inv0
-    ratio = b[0] * _inverse(b[d])
+    ratio = b[0] * _inv(b[d])
     vals = []
     for i in range(1, d):
         first = low ** (d - i) * (b[i] * inv0) * ratio
@@ -440,7 +421,7 @@ def symmetric_from_dihedral(u, delta):
         raise SingularSystem("u_(d-1) vanishes, recovery degenerate")
     mus = [Fraction(1)]
     hk = 1
-    half_inv = _inverse(half)
+    half_inv = _inv(half)
     for k in range(1, (d - 2) // 2 + 1):
         hk = hk * half_inv
         mus.append(u.u(d - 2 * k) * Fraction(1, 2) * hk)
@@ -461,7 +442,7 @@ def symmetric_from_dihedral(u, delta):
     if v[0] == 0:
         raise SingularSystem("recovery system degenerates in the "
                              "leading slot")
-    inv = _inverse(v[0])
+    inv = _inv(v[0])
     s = tuple(v[m] * inv for m in range(1, delta + 1))
     w = v[delta + 1] * inv
     for m in range(1, delta + 1):

@@ -31,16 +31,13 @@ from .families import (
     CurveModel,
     classify_genus,
     curve_equation,
+    even_model,
     smallest_one_dimensional_genus,
 )
 from .fixtures import load_fixtures
 from .invariants import (
-    DihedralInvariants,
-    _demote,
-    _fiber_pair,
     check_group_relation,
     dihedral_invariants,
-    even_multiplier_product,
     invariant_set,
 )
 from .polyring import (
@@ -502,51 +499,21 @@ def rational_model(u, group=None):
     return CurveModel(f=f, genus=g, model="x2", case=desc, params=[])
 
 
-_SYMBOLIC_U = {}
-
-
-def family_invariant_functions(case_no):
-    """Dihedral invariants of the one-parameter family as exact rational
-    functions of the branch value, reduced to rational coefficients."""
-    if case_no in _SYMBOLIC_U:
-        return _SYMBOLIC_U[case_no]
-    g = smallest_one_dimensional_genus(case_no)
-    desc = classify_genus(g)
-    mult = even_multiplier_product(desc.multipliers)
-    top, bottom = _fiber_pair()
-    mtop = mult * top
-    mbot = mult * bottom
-    width = mtop.degree + 1
-    coeffs = [RationalFunction(Poly([mtop.coeff(j), -mbot.coeff(j)]))
-              for j in range(width)]
-    u = dihedral_invariants(coeffs)
-    out = DihedralInvariants(d=u.d, values=tuple(_demote_function(v)
-                                                 for v in u.values))
-    _SYMBOLIC_U[case_no] = out
-    return out
-
-
-def _demote_function(rf):
-    num = rf.num.map_coeffs(_demote)
-    den = rf.den.map_coeffs(_demote)
-    for p in (num, den):
-        for c in p.coeffs:
-            if isinstance(c, QuadraticElement):
-                raise InconsistentData(
-                    "family invariant function is not rational")
-    return RationalFunction(num, den, reduce=False)
-
-
 def fiber_model(locus, fiber):
     """(d, model): the curve over Q(sqrt(d)) attached to a singular fiber.
 
-    The parameter is a root of the fiber quadratic; evaluating the family
-    invariant functions there gives dihedral invariants in Q(sqrt(d)),
-    and the group-relation model over that field follows.
+    The parameter is a root of the fiber quadratic, in Q(sqrt(d)).  The
+    even model has Gaussian coefficients, so the family member at the root
+    lives over Q(sqrt(d))(i); its dihedral invariants are functions of the
+    parameter alone and land back in Q(sqrt(d)), where the group-relation
+    model follows, exactly as for a rational parameter.
     """
     d = fiber.d_table
     root = _quadratic_root(fiber.q, d)
-    funcs = family_invariant_functions(locus.case_no)
-    values = tuple(f(root) for f in funcs.values)
-    u = DihedralInvariants(d=funcs.d, values=values)
+    curve = curve_equation(locus.genus, [QuadraticElement(root, 0, -1)],
+                           "x2")
+    u = dihedral_invariants(even_model(curve))
+    if any(getattr(v, "D", d) != d for v in u.values):
+        raise InconsistentData("fiber dihedral invariants leave the field "
+                               "of moduli", d=d)
     return d, rational_model(u)

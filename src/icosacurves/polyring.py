@@ -361,7 +361,9 @@ def poly_mod_p(poly, prime, root_map=None):
     Fraction coefficients reduce directly.  The others reduce through
     root_map: a quadratic-field coefficient a + b*sqrt(D) through the entry
     for D, a residue r with r*r == D mod prime, and a cyclotomic coefficient
-    through the entry for its field, the residues of its power basis.
+    through the entry for its field, the residues of its power basis.  A
+    quadratic coefficient over a quadratic field (parts not rational) has
+    no image, so the reduction is undecided.
     """
     root_map = root_map or {}
     out = []
@@ -370,7 +372,9 @@ def poly_mod_p(poly, prime, root_map=None):
             parts, images = (c,), (1,)
         elif getattr(c, "D", None) is not None:
             r = root_map.get(c.D)
-            parts, images = (c.a, c.b), None if r is None else (1, r)
+            parts = (c.a, c.b)
+            rational = all(isinstance(x, Fraction) for x in parts)
+            images = (1, r) if r is not None and rational else None
         elif getattr(c, "field", None) in root_map:
             parts, images = c.coeffs, root_map[c.field]
         else:

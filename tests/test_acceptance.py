@@ -37,7 +37,7 @@ from icosacurves.invariants import (
 )
 from icosacurves.loci import (
     build_locus,
-    family_invariant_functions,
+    fiber_model,
     field_of_moduli_at,
     rational_model,
     singular_fibers,
@@ -163,11 +163,24 @@ def test_criterion_06_covariant_vanishing():
 
 def test_criterion_07_dihedral_invariants():
     ref = load_fixtures().reference_dihedral_g29
-    u_sym = family_invariant_functions(1)
-    assert u_sym.u(1) == ref["u1"]
-    assert u_sym.u(29) == ref["u29"]
-    zero = 2 ** 14 * u_sym.u(1) - u_sym.u(29) ** 15
-    assert zero == RationalFunction(Poly([0]), Poly([1]))
+    u1, u29 = ref["u1"], ref["u29"]
+    # The even-model b_j are linear in lam, so the computed u_1 is N/D with
+    # D = b_0^29 b_30^29 and deg N, deg D <= 58, and the computed u_29 =
+    # 2 b_1 b_29 / (b_0 b_30) has degrees <= 2.  Cross-multiplied, each
+    # check below is a numerator identity of degree at most 58 plus the
+    # printed u_1 degree (u_1), 2 + 2 (u_29) or 58 + 15 * 2 (the relation
+    # 2^14 u_1 = u_29^15).  Holding at one point more than that, none of
+    # them a pole (dihedral_invariants and the printed functions raise
+    # there), it holds identically in lam.
+    assert max(u29.num.degree, u29.den.degree) == 2
+    need = 58 + max(u1.num.degree, u1.den.degree, 15 * 2) + 1
+    assert need == 89
+    for k in range(1, need + 1):
+        lam = F(k, 3)
+        u = dihedral_invariants(even_model(curve_equation(29, [lam], "x2")))
+        assert u.u(1) == u1(lam)
+        assert u.u(29) == u29(lam)
+        assert 2 ** 14 * u.u(1) - u.u(29) ** 15 == 0
     for lam in (F(9), _random_lambda()):
         u = dihedral_invariants(even_model(curve_equation(29, [lam], "x2")))
         assert 2 ** 14 * u.u(1) - u.u(29) ** 15 == 0
@@ -175,8 +188,8 @@ def test_criterion_07_dihedral_invariants():
     for lam in (F(5), _random_lambda()):
         u = dihedral_invariants(even_model(curve_equation(44, [lam], "x2")))
         assert check_group_relation(u) == "SL2_5"
-    _ok(7, "printed u1, u29 match symbolically; odd and even group "
-           "relations verified")
+    _ok(7, "printed u1, u29 and their group relation proved at 89 points; "
+           "odd and even group relations verified")
 
 
 def test_criterion_08_printed_invariant_functions_and_locus():
@@ -212,6 +225,13 @@ def test_criterion_09_singular_fibers_all_cases():
             prod = fb.D * fx.moduli_fields[case_no][names[fb.kind]]
             assert prod > 0 and math.isqrt(prod) ** 2 == prod
             assert field_of_moduli_at(fb, L) == fb.d_table
+            d, m = fiber_model(L, fb)
+            assert d == fx.moduli_fields[case_no][names[fb.kind]]
+            # rational_model reads the genus off the group relation of u
+            assert m.genus == L.genus
+            assert m.case.group == classify_genus(L.genus).group
+            assert any(isinstance(c, QuadraticElement) and c.b != 0
+                       for c in m.f.coeffs)
             if fb.kind == "collision":
                 root = _quadratic_root(fb.q, fb.d_table)
                 conj = QuadraticElement(root.a, -root.b, root.D)
@@ -219,7 +239,8 @@ def test_criterion_09_singular_fibers_all_cases():
                 assert L.i1_of_lambda(root) == L.i1_of_lambda(conj)
                 assert L.i2_of_lambda(root) == L.i2_of_lambda(conj)
     _ok(9, "all 8 cases: quadratics, colliding root pairs, square-class "
-           "data and irrational moduli values confirmed")
+           "data, irrational moduli values and 24 fiber models over "
+           "Q(sqrt(d)) confirmed")
 
 
 def test_criterion_10_rational_model_round_trip():

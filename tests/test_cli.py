@@ -59,6 +59,15 @@ def test_wrong_branch_value_count_is_a_domain_error(capsys, argv):
     assert doc["error"]["type"] == "InconsistentData"
 
 
+@pytest.mark.parametrize("command", ["curve", "invariants", "model"])
+@pytest.mark.parametrize("genus,value", [("29", "-3/7"), ("59", "-3/7,2")])
+def test_negative_lambda_as_its_own_argument(capsys, command, genus, value):
+    rc1, out1, err1 = run(capsys, command, "--genus", genus, "--lambda", value)
+    rc2, out2, _ = run(capsys, command, "--genus", genus, f"--lambda={value}")
+    assert rc1 == rc2 == 0, err1
+    assert out1 == out2
+
+
 def test_bad_flag_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "--badflag")
     assert rc == 64

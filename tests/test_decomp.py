@@ -11,7 +11,6 @@ from icosacurves.decomp import (
     conjugated_face_form,
     conjugated_vertex_form,
     conjugation_to_even,
-    cyclic_symmetric_inner,
     inner_cubic_decomposition,
     left_factor,
     transported_invariant_map,
@@ -19,8 +18,8 @@ from icosacurves.decomp import (
     verify_conjugated_identities,
 )
 from icosacurves.errors import ConstantInner, DegreeMismatch
-from icosacurves.exactfield import EPSILON3, QuadraticElement
-from icosacurves.icosa import MoebiusMap, invariant_map
+from icosacurves.exactfield import QuadraticElement
+from icosacurves.icosa import invariant_map
 from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
 F = Fraction
@@ -110,15 +109,6 @@ def test_left_factor_general_inner():
     got = left_factor(f, h)
     assert got is not None
     assert compose_rational(got, h) == f
-
-
-def test_cyclic_symmetric_inner_scaling():
-    gamma = MoebiusMap(EPSILON3, 0, 0, 1)
-    inner = cyclic_symmetric_inner(gamma, 3)
-    # sums and pair sums vanish for a pure scaling, leaving the product x^3
-    assert inner.mapped_degree() == 3
-    assert inner == RationalFunction(Poly([0, 0, 0, 1])) \
-        or inner == RationalFunction(Poly([0, 0, 0, -1]))
 
 
 def test_inner_cubic_decomposition():

@@ -23,7 +23,6 @@ from icosacurves.loci import (
     _quadratic_root,
     build_locus,
     evaluate_plane_model,
-    family_invariant_functions,
     fiber_model,
     field_of_moduli_at,
     rational_model,
@@ -182,14 +181,6 @@ def test_rational_model_rejects_generic_invariants():
     assert check_group_relation(u) == "neither"
     with pytest.raises(NotInLocus):
         rational_model(u)
-
-
-def test_family_invariant_functions_interpolate_curves(locus1):
-    funcs = family_invariant_functions(1)
-    assert funcs.d == 30
-    for lam in (F(7), F(-2)):
-        u = _u_of_model(curve_equation(29, [lam], "x2"))
-        assert tuple(f(lam) for f in funcs.values) == u.values
 
 
 def test_fiber_model_lives_over_the_moduli_field(locus1, fibers1):

@@ -227,6 +227,20 @@ def test_poly_mod_p_quadratic_coefficients():
     assert 5 * 5 % 13 == 13 - 1
 
 
+def test_tower_coefficients_fall_back_to_the_exact_gcd():
+    # a + b*i with a, b in Q(sqrt(5)) has no image mod p: undecided
+    t = QuadraticElement(QuadraticElement(1, 2, 5),
+                         QuadraticElement(0, 1, 5), -1)
+    three = QuadraticElement(3, 0, -1)
+    assert poly_mod_p(Poly([t, 1]), 13, {-1: 5}) is None
+    assert certified_coprime(Poly([t, 1]), Poly([three, 1])) is None
+    r = RationalFunction(Poly([t, 1]), Poly([three, 1]))
+    assert r.num == Poly([t, 1]) and r.den == Poly([three, 1])
+    shared = RationalFunction(Poly([t, 1]) * Poly([three, 1]),
+                              Poly([three, 1]))
+    assert shared.num == Poly([t, 1]) and shared.den == Poly([1])
+
+
 def test_is_squarefree_certified():
     assert is_squarefree_certified(Poly([F(-1), 0, 1]))
     assert not is_squarefree_certified(Poly([F(1), 2, 1]))
