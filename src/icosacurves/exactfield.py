@@ -2,11 +2,11 @@
 
 The ambient field is the degree-16 cyclotomic field generated by a primitive
 60th root of unity; every algebraic quantity in this package lives inside it.
-Elements are Fraction coefficient vectors over the power basis of the
-generator; a product clears both denominators and multiplies integer
-vectors.  Smaller cyclotomic fields (orders 3, 4, 5, ...) are available as
-fast internal representations and embed into the ambient field along fixed
-root-of-unity identifications.
+An element is an integer vector over the power basis of the generator and
+one positive denominator, kept in lowest terms: sums combine the integer
+vectors and products run one integer multiply kernel.  Smaller cyclotomic
+fields (orders 3, 4, 5, ...) are available as fast internal representations
+and embed into the ambient field along fixed root-of-unity identifications.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta5, i) < ambient, reducing at
@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
-from .polyring import clear_denominators, rref, solve_linear
+from .polyring import Poly, clear_denominators, inverse_mod, rref, solve_linear
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,12 +109,7 @@ class CyclotomicField:
     # -- element construction -------------------------------------------------
 
     def element(self, coeffs):
-        d = self.degree
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > d:
-            raise ValueError("coefficient vector too long")
-        cs += [_ZERO] * (d - len(cs))
-        return CycloElement(self, tuple(cs))
+        return CycloElement(self, coeffs)
 
     def zero(self):
         return self.element([])
@@ -152,10 +147,9 @@ def cyclotomic_field(n):
 class IntVectorOps:
     """Arithmetic on integer coefficient vectors of a cyclotomic order.
 
-    CycloElement multiplication and the hot loops that clear denominators
-    first (polyring.clear_denominators) both run here; the scalar they drop
-    is tracked by the caller.  Vectors are sequences of ints; results are
-    tuples.
+    CycloElement multiplies its integer vectors here, and the orbit loops
+    of the icosa module run here directly on vectors whose denominators
+    they cleared.  Vectors are sequences of ints; results are tuples.
     """
 
     __slots__ = ("n", "degree", "rows")
@@ -208,19 +202,41 @@ class IntVectorOps:
 
 
 class CycloElement:
-    """Element of a cyclotomic field, as a Fraction vector on the power basis."""
+    """Element of a cyclotomic field: ints / den on the power basis.
 
-    __slots__ = ("field", "coeffs")
+    ints is a tuple of field.degree integers and den a positive integer
+    with gcd(den, *ints) == 1, so each element has one representation.
+    .coeffs is the Fraction coefficient vector, derived on each read.
+    """
+
+    __slots__ = ("field", "ints", "den")
 
     def __init__(self, field, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > field.degree:
+            raise ValueError("coefficient vector too long")
+        ints, den = clear_denominators(cs)
         self.field = field
-        self.coeffs = coeffs
+        self.ints = tuple(ints) + (0,) * (field.degree - len(ints))
+        self.den = den
 
-    def _new(self, coeffs):
+    def _new(self, ints, den=1):
+        """ints / den in lowest terms, of this element's type and field."""
+        if den != 1:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints = tuple(c // g for c in ints)
+                den //= g
         obj = object.__new__(type(self))
         obj.field = self.field
-        obj.coeffs = coeffs
+        obj.ints = ints
+        obj.den = den
         return obj
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
@@ -228,19 +244,30 @@ class CycloElement:
                 raise ValueError("mixed cyclotomic fields; convert explicitly")
             return other
         if isinstance(other, (int, Fraction)):
-            d = self.field.degree
-            return self._new((Fraction(other),) + (_ZERO,) * (d - 1))
+            zeros = (0,) * (self.field.degree - 1)
+            return self._new((other.numerator,) + zeros, other.denominator)
         if isinstance(other, QuadraticElement) and self.field.n == 60:
             return to_ambient(other)
         return None
 
     # -- ring operations ------------------------------------------------------
 
+    def _plus(self, o, sign):
+        """self + sign * o for sign 1 or -1."""
+        da, db = self.den, o.den
+        if da == db:
+            return self._new(tuple(x + sign * y
+                                   for x, y in zip(self.ints, o.ints)), da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return self._new(tuple(x * fa + y * fb
+                               for x, y in zip(self.ints, o.ints)), da * fa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -248,7 +275,7 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -257,19 +284,14 @@ class CycloElement:
         return o - self
 
     def __neg__(self):
-        return self._new(tuple(-a for a in self.coeffs))
+        return self._new(tuple(-c for c in self.ints), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        va, da = clear_denominators(self.coeffs)
-        vb, db = clear_denominators(o.coeffs)
-        den = da * db
-        prod = IntVectorOps(self.field.n).mul(va, vb)
-        if den == 1:
-            return self._new(tuple(Fraction(c) for c in prod))
-        return self._new(tuple(Fraction(c, den) for c in prod))
+        return self._new(IntVectorOps(self.field.n).mul(self.ints, o.ints),
+                         self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -288,7 +310,7 @@ class CycloElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self._new((_ONE,) + (_ZERO,) * (self.field.degree - 1))
+        result = self._coerce(1)
         base = self
         while k:
             if k & 1:
@@ -298,72 +320,39 @@ class CycloElement:
         return result
 
     def inverse(self):
-        """Extended Euclid against the field modulus."""
+        """den times the inverse of ints modulo the cyclotomic polynomial."""
         if not self:
             raise DivisionByZero("inverse of zero cyclotomic element")
-        mod = [Fraction(c) for c in self.field.modulus]
-        r0, r1 = mod, list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [_ONE]
-        while True:
-            # r1 nonzero here; divide r0 by r1
-            q = []
-            rem = list(r0)
-            dn = len(r1) - 1
-            lead = r1[dn]
-            q = [_ZERO] * max(len(rem) - dn, 0)
-            for k in range(len(rem) - dn - 1, -1, -1):
-                c = rem[k + dn] / lead
-                q[k] = c
-                if c:
-                    for j in range(dn + 1):
-                        rem[k + j] -= c * r1[j]
-            while rem and not rem[-1]:
-                rem.pop()
-            s_next = list(s0)
-            # s_next = s0 - q*s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1 if q and s1 else 0)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] += x * y
-            n = max(len(s_next), len(prod))
-            s_next += [_ZERO] * (n - len(s_next))
-            for i, x in enumerate(prod):
-                s_next[i] -= x
-            if not rem:
-                # r1 is the gcd; must be a nonzero constant
-                if len(r1) != 1:
-                    raise ArithmeticError("modulus not coprime with element")
-                inv = [c / r1[0] for c in s1]
-                d = self.field.degree
-                inv = inv[:d] + [_ZERO] * max(0, d - len(inv))
-                return self._new(tuple(inv))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
+        inv = inverse_mod(Poly(self.ints), Poly(self.field.modulus))
+        ints, den = clear_denominators(inv.coeffs)
+        ints += [0] * (self.field.degree - len(ints))
+        return self._new(tuple(c * self.den for c in ints), den)
 
     # -- predicates and conversions -------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.ints)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.n == o.field.n and self.coeffs == o.coeffs
+        return (self.field.n == o.field.n and self.ints == o.ints
+                and self.den == o.den)
 
     def __hash__(self):
-        return hash((self.field.n, self.coeffs))
+        # a rational element hashes like the Fraction it equals
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((self.field.n, self.ints, self.den))
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.ints[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.den)
 
     def __repr__(self):
         terms = [f"{c}*z{self.field.n}^{k}" if k else str(c)
@@ -375,12 +364,7 @@ class AlgebraicNumber(CycloElement):
     """Element of the ambient degree-16 field (order-60 root of unity)."""
 
     def __init__(self, coeffs=()):
-        field = cyclotomic_field(60)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > 16:
-            raise ValueError("ambient field elements have 16 coefficients")
-        cs += [_ZERO] * (16 - len(cs))
-        super().__init__(field, tuple(cs))
+        super().__init__(cyclotomic_field(60), coeffs)
 
 
 # ----------------------------------------------------------------------------
@@ -427,7 +411,8 @@ def to_subfield(x, n):
     imgs = _subfield_basis_images(n)
     k = len(imgs)
     # solve sum_j c_j * imgs[j] == x  (16 equations, k unknowns)
-    rows = [[imgs[j].coeffs[i] for j in range(k)] for i in range(16)]
+    cols = [img.coeffs for img in imgs]
+    rows = [[cols[j][i] for j in range(k)] for i in range(16)]
     sol = solve_linear(rows, x.coeffs)
     if sol is None:
         return None
@@ -501,7 +486,8 @@ def _mixed_state():
             basis.append(v)
         # invert the 16x16 change-of-basis matrix (columns = basis vectors)
         n = 16
-        aug = [[basis[j].coeffs[i] for j in range(n)]
+        cols = [v.coeffs for v in basis]
+        aug = [[cols[j][i] for j in range(n)]
                + [_ONE if i == j2 else _ZERO for j2 in range(n)]
                for i in range(n)]
         inv = [row[n:] for row in rref(aug)[0]]
@@ -518,7 +504,8 @@ def _mixed_state():
 
 def _to_mixed(x):
     inv = _mixed_state()["inv"]
-    return [sum(row[j] * x.coeffs[j] for j in range(16)) for row in inv]
+    cs = x.coeffs
+    return [sum(row[j] * cs[j] for j in range(16)) for row in inv]
 
 
 def _from_mixed(vec):
@@ -708,6 +695,9 @@ class QuadraticElement:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
+        # with b == 0 the element equals a, so it hashes like a
+        if not self.b:
+            return hash(self.a)
         return hash((self.a, self.b, self.D))
 
     def conjugate(self):
@@ -734,7 +724,8 @@ def embed_subfield(x):
         return x.rational_value()
     sq = x * x
     # solve sq == alpha*x + beta
-    rows = [[x.coeffs[i], _ONE if i == 0 else _ZERO] for i in range(16)]
+    cs = x.coeffs
+    rows = [[cs[i], _ONE if i == 0 else _ZERO] for i in range(16)]
     sol = solve_linear(rows, sq.coeffs)
     if sol is None:
         raise NotInQuadraticSubfield(

@@ -312,12 +312,16 @@ def dihedral_invariants(b):
     low = b[1] * inv0
     high = b[d - 1] * inv0
     ratio = b[0] * _inv(b[d])
+    # running powers low^(d-i), high^(d-i), ratio^(d-i) from i = d-1 down
+    low_pow, high_pow, ratio_pow = low, high, ratio
     vals = []
-    for i in range(1, d):
-        first = low ** (d - i) * (b[i] * inv0) * ratio
-        second = high ** (d - i) * (b[d - i] * inv0) * ratio ** (d - i)
+    for i in range(d - 1, 0, -1):
+        first = low_pow * (b[i] * inv0) * ratio
+        second = high_pow * (b[d - i] * inv0) * ratio_pow
         vals.append(_demote(first + second))
-    return DihedralInvariants(d=d, values=tuple(vals))
+        low_pow, high_pow, ratio_pow = (low_pow * low, high_pow * high,
+                                        ratio_pow * ratio)
+    return DihedralInvariants(d=d, values=tuple(reversed(vals)))
 
 
 def check_group_relation(u, genus=None):

@@ -47,6 +47,7 @@ from .polyring import (
     clear_denominators,
     integer_primitive,
     interpolate,
+    inverse_mod,
     sylvester_matrix,
 )
 
@@ -384,23 +385,6 @@ def _squarefree_datum(disc, reference):
         discriminant=disc)
 
 
-def _poly_mod(poly, q):
-    return divmod(poly, q)[1]
-
-
-def _mod_inverse(p, q):
-    """Inverse of p modulo the quadratic q, or None if not coprime."""
-    r0, r1 = q, _poly_mod(p, q)
-    s0, s1 = Poly(), Poly([1])
-    while r1:
-        quo, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-    if r0.degree != 0:
-        return None
-    return s0 * Poly([1 / Fraction(r0.coeff(0))])
-
-
 def field_of_moduli_at(fiber, locus):
     """Squarefree d with Q(sqrt(d)) the field of moduli over the fiber.
 
@@ -425,10 +409,10 @@ def field_of_moduli_at(fiber, locus):
     ]
     saw_rational = False
     for _, num, den in cascade:
-        inv = _mod_inverse(den, q)
+        inv = inverse_mod(den, q)
         if inv is None:
             continue
-        val = _poly_mod(_poly_mod(num, q) * inv, q)
+        val = num % q * inv % q
         if val.degree >= 1:
             refs = load_fixtures().moduli_fields.get(locus.case_no, {})
             expect = refs.get(fiber.kind.split("_")[0])

@@ -202,6 +202,20 @@ def clear_denominators(values):
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
+def inverse_mod(p, m):
+    """The inverse of p modulo m, of degree below m's, by the extended
+    Euclidean algorithm; None when p and m share a nonconstant factor."""
+    r0, r1 = m, p % m
+    s0, s1 = Poly(), Poly([1])
+    while r1:
+        quo, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quo * s1
+    if r0.degree != 0:
+        return None
+    return s0 * _inv(r0.coeffs[0])
+
+
 def integer_primitive(poly):
     """The content-free integer multiple of a Fraction-coefficient
     polynomial, with positive leading coefficient."""
@@ -535,7 +549,9 @@ class RationalFunction:
             den = Poly([den])
         if not den:
             raise ZeroPolynomial("rational function with zero denominator")
-        if reduce and num:
+        if not num:
+            den = Poly([1])  # one zero, so == and hash agree
+        elif reduce:
             if certified_coprime(num, den) is not True:
                 g = num.gcd(den)
                 if g.degree > 0:

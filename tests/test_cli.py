@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +160,17 @@ def test_threads_flag_validated(capsys):
     assert rc == 64
     rc, out, err = run(capsys, "--threads", "4", "icosa", "group")
     assert rc == 0
+
+
+# exit code and stdout sha256 of each command of the cli-decomp benchmark
+# workload, recorded by benchmark/run.py --record
+EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "benchmark"
+                       / "expected.json").read_text())["cli-decomp"]
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_decomp_workload_output_matches_the_record(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    want = EXPECTED[command]
+    assert rc == want["rc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]

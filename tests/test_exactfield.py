@@ -325,3 +325,50 @@ def test_int_vector_ops_match_field():
     prod = ops.mul(va, vb)
     assert f.element(prod) == a * b
     assert ops.add(va, vb) == tuple(int(c) for c in (a + b).coeffs)
+
+
+def fraction_vector_sum(a, b, sign):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", [5, 15, 60])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_elements_stay_integer_vectors_in_lowest_terms(n, data):
+    field = cyclotomic_field(n)
+    vec = st.lists(fraction_strategy, min_size=field.degree,
+                   max_size=field.degree)
+    a, b = data.draw(vec), data.draw(vec)
+    x, y = field.element(a), field.element(b)
+    assert (x + y).coeffs == fraction_vector_sum(a, b, 1)
+    assert (x - y).coeffs == fraction_vector_sum(a, b, -1)
+    results = [x, y, x + y, x - y, x * y, x + Fraction(1, 2)]
+    if y:
+        results.append(x / y)
+        assert x / y * y == x
+    for z in results:
+        assert len(z.ints) == field.degree
+        assert all(type(c) is int for c in z.ints)
+        assert z.den > 0
+        assert math.gcd(z.den, *z.ints) == 1
+
+
+def test_rational_cyclotomic_elements_hash_like_their_value():
+    assert 3 in {AlgebraicNumber([3])}
+    assert AlgebraicNumber([3]) in {3}
+    half = cyclotomic_field(5).element([Fraction(1, 2)])
+    assert hash(half) == hash(Fraction(1, 2))
+    assert Fraction(1, 2) in {half}
+    assert hash(AlgebraicNumber()) == hash(0)
+
+
+def test_quadratic_elements_hash_like_their_value():
+    x = QuadraticElement(3, 0, -1)
+    tower = QuadraticElement(QuadraticElement(3, 0, 5), 0, -1)
+    assert x == Fraction(3) and tower == x
+    assert Fraction(3) in {x}
+    assert x in {tower} and tower in {x}
+    assert len({Fraction(3), x, tower}) == 1
+    gauss = QuadraticElement(3, 2, -1)
+    gauss_tower = QuadraticElement(QuadraticElement(3, 0, 5), 2, -1)
+    assert gauss == gauss_tower and hash(gauss) == hash(gauss_tower)

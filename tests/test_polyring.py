@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icosacurves.errors import (
@@ -25,6 +25,7 @@ from icosacurves.polyring import (
     compose_rational,
     integer_primitive,
     interpolate,
+    inverse_mod,
     is_squarefree_certified,
     nullspace,
     poly_mod_p,
@@ -319,6 +320,8 @@ rational_coeff = st.builds(F, small_ints, st.integers(1, 3))
     inner_den=st.lists(st.one_of(rational_coeff, cyclo_coeff),
                        min_size=1, max_size=3),
 )
+@example(outer_num=[0], outer_den=[0, 1], inner_num=[F(0)],
+         inner_den=[F(0), F(1)])
 def test_compose_rational_matches_naive_sum(outer_num, outer_den,
                                             inner_num, inner_den):
     # constant outers and deg num < deg den arise from the list lengths
@@ -460,3 +463,29 @@ def test_nullspace_over_quadratic_field():
     assert len(ns) == 1
     v = ns[0]
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == 0
+
+
+rational_poly = st.lists(rational_coeff, min_size=1, max_size=5).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=rational_poly, m=rational_poly, factor=rational_poly)
+def test_inverse_mod(p, m, factor):
+    assume(m.degree >= 1 and p)
+    inv = inverse_mod(p, m)
+    if p.gcd(m).degree == 0:
+        assert inv is not None and inv.degree < m.degree
+        assert (p * inv) % m == Poly([1])
+    else:
+        assert inv is None
+    if factor.degree >= 1:
+        assert inverse_mod(p * factor, m * factor) is None
+
+
+def test_zero_rational_function_is_canonical():
+    x = Poly([F(0), F(1)])
+    zero_over_x = RationalFunction(Poly([F(0)]), x)
+    assert zero_over_x == RationalFunction(0)
+    assert hash(zero_over_x) == hash(RationalFunction(0))
+    assert zero_over_x.den == Poly([1])
+    assert compose_rational(zero_over_x, zero_over_x) == 0
