@@ -397,7 +397,7 @@ def to_ambient(x):
     if isinstance(x, (int, Fraction)):
         return AlgebraicNumber([x])
     if isinstance(x, QuadraticElement):
-        return SQRT_BY_CLASS[x.D] * x.b + x.a
+        return SQRT_BY_CLASS[x.D] * x.b + x.a if x.b else to_ambient(x.a)
     imgs = _subfield_basis_images(x.field.n)
     acc = AlgebraicNumber()
     for c, img in zip(x.coeffs, imgs):
@@ -695,10 +695,14 @@ class QuadraticElement:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        # with b == 0 the element equals a, so it hashes like a
+        # equal values hash alike: with b == 0 the element is a, and in
+        # the square classes of the ambient field it is its image there
         if not self.b:
             return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        try:
+            return hash(to_ambient(self))
+        except KeyError:  # a square class outside the ambient field
+            return hash((self.a, self.b, self.D))
 
     def conjugate(self):
         return QuadraticElement(self.a, -self.b, self.D)

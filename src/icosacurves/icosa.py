@@ -85,8 +85,7 @@ class MoebiusMap:
         return (self.a * x + self.b) * den.inverse()
 
     def is_identity(self):
-        c = self.canonical_entries()
-        return c[0] == 1 and not c[1] and not c[2] and c[3] == 1
+        return not self.b and not self.c and self.a == self.d
 
     def order(self, bound=60):
         acc = self

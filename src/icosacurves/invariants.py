@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Optional, Tuple
 
 from .decomp import (
@@ -117,47 +119,44 @@ def transvectant(f, h, r):
     """The r-th transvection of two binary forms.
 
     Normalization: ((m-r)! (n-r)! / (m! n!)) times the alternating sum of
-    mixed r-th partial products.  Degree m + n - 2r.
+    mixed r-th partial products.  Degree m + n - 2r.  With A[t] =
+    c_t t! (m-t)!, slot i of d^r f / dX^(r-k) dY^k is A[i+k] / ((m-r-i)! i!),
+    so slot i + j gains C(m-r, i) C(n-r, j) times a column dot product.
     """
     m, n = f.degree, h.degree
     if r < 0 or r > min(m, n):
         raise OrderTooLarge("transvection order exceeds a form degree",
                             order=r, degrees=(m, n))
-    fparts = _mixed_partials(f, r)
-    hparts = fparts if h is f else _mixed_partials(h, r)
-    acc = None
-    for k in range(r + 1):
-        c = math.comb(r, k)
-        if k % 2:
-            c = -c
-        term = (fparts[k] * hparts[r - k]).scale(c)
-        acc = term if acc is None else acc + term
-    lead = Fraction(math.factorial(m - r) * math.factorial(n - r),
-                    math.factorial(m) * math.factorial(n))
-    return acc.scale(lead)
+    # (f, h)_r = (-1)^r (h, f)_r: sign the columns of the smaller form
+    flip = n < m
+    if flip:
+        f, h, m, n = h, f, n, m
+    fcols = _partial_columns(f, r)
+    hcols = [col[::-1] for col in
+             (fcols if h is f else _partial_columns(h, r))]
+    signs = [(-1) ** k * math.comb(r, k) for k in range(r + 1)]
+    fcols = [list(map(mul, signs, col)) for col in fcols]
+    # for h is f the pair (j, i) repeats (i, j) up to the sign (-1)^r
+    symmetric = h is f and r % 2 == 0
+    binom = [math.comb(n - r, j) for j in range(n - r + 1)]
+    out = [0] * (m + n - 2 * r + 1)
+    for i, fc in enumerate(fcols):
+        weight = math.comb(m - r, i)
+        for j in range(i if symmetric else 0, n - r + 1):
+            s = sum(map(mul, fc, hcols[j])) * (weight * binom[j])
+            out[i + j] += s + s if symmetric and j > i else s
+    lead = Fraction((-1) ** (r * flip), math.factorial(m) * math.factorial(n))
+    return BinaryForm(m + n - 2 * r, (c * lead for c in out))
 
 
-def _mixed_partials(f, r):
-    # index k holds d^r f / dX^(r-k) dY^k, written directly as
-    # coeff[j] = c[j+k] * ff(n-j-k, r-k) * ff(j+k, k) with falling
-    # factorials ff; one pass beats r-fold repeated differentiation
+def _partial_columns(f, r):
+    # column i is A[i .. i+r], A[t] = c_t t! (n-t)!: slot i of d^r f /
+    # dX^(r-k) dY^k for k = 0 .. r, times (n-r-i)! i!, without r-fold
+    # repeated differentiation
     n = f.degree
-    fact = [1] * (n + 1)
-    for t in range(1, n + 1):
-        fact[t] = fact[t - 1] * t
-
-    def ff(m, t):
-        return fact[m] // fact[m - t]
-
-    c = f.coeffs
-    out = []
-    for k in range(r + 1):
-        deg = n - r
-        out.append(BinaryForm(
-            deg,
-            (c[j + k] * (ff(n - j - k, r - k) * ff(j + k, k))
-             for j in range(deg + 1))))
-    return out
+    fact = list(accumulate(range(1, n + 1), mul, initial=1))
+    a = [c * (fact[t] * fact[n - t]) for t, c in enumerate(f.coeffs)]
+    return [a[i:i + r + 1] for i in range(n - r + 1)]
 
 
 @dataclass

@@ -11,6 +11,8 @@ field of moduli.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +50,7 @@ from .polyring import (
     integer_primitive,
     interpolate,
     inverse_mod,
+    is_squarefree_certified,
     sylvester_matrix,
 )
 
@@ -204,39 +207,33 @@ def _eliminate(i1, i2):
 def _reduce_plane_model(cols):
     """Content-free irreducible model from the Y-coefficient list of R.
 
-    cols[k] is the X-polynomial multiplying Y^k.  One-variable factors
-    (the leading-coefficient artifacts) live in the X-content or the
-    Y-content; repeated bivariate factors fall to a gcd with the
-    Y-derivative over the field Q(X).
+    cols[k] is the X-polynomial multiplying Y^k.  Repeated bivariate
+    factors fall to a gcd with dR/dY over Q(X), run only when one point
+    fails to prove it trivial: if lc_Y(x0) != 0 at the first such integer
+    x0 >= 1 and R(x0, Y) is squarefree, then Res_Y(R, dR/dY)(x0), the
+    resultant of R(x0, Y) and its derivative, is nonzero, so R has no
+    repeated factor over Q(X).  The X- and Y-content, where one-variable
+    leading-coefficient artifacts live, are stripped last.
     """
-    xcontent = Poly()
-    for c in cols:
-        if c:
-            xcontent = xcontent.gcd(c) if xcontent else c.monic()
+    lead = max(k for k, c in enumerate(cols) if c)
+    x0 = next(x for x in itertools.count(1) if cols[lead](x))
+    if not is_squarefree_certified(Poly([c(x0) for c in cols])):
+        P = Poly([RationalFunction(c) for c in cols])
+        P = P // P.gcd(P.derivative())
+        den = math.prod(c.den for c in P.coeffs)
+        cols = [c.num * (den // c.den) for c in P.coeffs]
+    xcontent = functools.reduce(Poly.gcd, filter(None, cols))
     if xcontent.degree > 0:
         cols = [c // xcontent for c in cols]
     width = max(c.degree for c in cols if c) + 1
     rows = [Poly([c.coeff(j) for c in cols]) for j in range(width)]
-    ycontent = Poly()
-    for r in rows:
-        if r:
-            ycontent = ycontent.gcd(r) if ycontent else r.monic()
+    ycontent = functools.reduce(Poly.gcd, filter(None, rows))
     if ycontent.degree > 0:
         rows = [r // ycontent for r in rows]
         cols = [Poly([r.coeff(k) for r in rows])
                 for k in range(max(r.degree for r in rows if r) + 1)]
-    P = Poly([RationalFunction(c) for c in cols])
-    if P.degree > 0:
-        g = P.gcd(P.derivative())
-        if g.degree > 0:
-            P = P // g
-    den = Poly([1])
-    for c in P.coeffs:
-        extra = c.den // c.den.gcd(den)
-        den = den * extra
     out = {}
-    for k, c in enumerate(P.coeffs):
-        col = c.num * (den // c.den)
+    for k, col in enumerate(cols):
         for j in range(col.degree + 1):
             v = Fraction(col.coeff(j))
             if v:

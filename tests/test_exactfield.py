@@ -372,3 +372,20 @@ def test_quadratic_elements_hash_like_their_value():
     gauss = QuadraticElement(3, 2, -1)
     gauss_tower = QuadraticElement(QuadraticElement(3, 0, 5), 2, -1)
     assert gauss == gauss_tower and hash(gauss) == hash(gauss_tower)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=fraction_strategy, b=fraction_strategy,
+       D=st.sampled_from(sorted(SQRT_BY_CLASS)))
+def test_quadratic_elements_hash_like_their_ambient_image(a, b, D):
+    x = QuadraticElement(a, b, D)
+    image = to_ambient(x)
+    assert x == image and image == x
+    assert hash(x) == hash(image)
+    assert x in {image} and image in {x}
+    # the same value with parts in Q(sqrt 7), a class outside the ambient
+    # field, whose irrational parts happen to vanish
+    tower = QuadraticElement(QuadraticElement(a, 0, 7),
+                             QuadraticElement(b, 0, 7), D)
+    assert tower == x and hash(tower) == hash(x)
+    assert len({x, image, tower}) == 1

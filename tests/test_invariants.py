@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from icosacurves.errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from icosacurves.exactfield import EPSILON3
+from icosacurves.exactfield import EPSILON3, QuadraticElement
 from icosacurves.families import curve_equation, even_model
 from icosacurves.fixtures import load_fixtures
 from icosacurves.invariants import (
@@ -76,6 +77,65 @@ def test_transvectant_bilinear(f, g, h, c):
     right = transvectant(f, h, r) + transvectant(g, h, r).scale(c)
     assert left == right
     assert left.degree == 4 + 3 - 2 * r
+
+
+def _textbook_transvectant(f, h, r):
+    """The defining formula: mixed r-th partials by repeated
+    differentiation, multiplied as forms and summed with signs."""
+    def dx(form):
+        n = form.degree
+        return BinaryForm(n - 1, [c * (n - i)
+                                  for i, c in enumerate(form.coeffs[:-1])])
+
+    def dy(form):
+        return BinaryForm(form.degree - 1,
+                          [c * i for i, c in enumerate(form.coeffs) if i])
+
+    def partial(form, k):
+        # d^r form / dX^(r-k) dY^k
+        for _ in range(r - k):
+            form = dx(form)
+        for _ in range(k):
+            form = dy(form)
+        return form
+
+    m, n = f.degree, h.degree
+    acc = BinaryForm(m + n - 2 * r, [0] * (m + n - 2 * r + 1))
+    for k in range(r + 1):
+        term = partial(f, k) * partial(h, r - k)
+        acc = acc + term.scale((-1) ** k * math.comb(r, k))
+    return acc.scale(F(math.factorial(m - r) * math.factorial(n - r),
+                       math.factorial(m) * math.factorial(n)))
+
+
+COEFFICIENTS = {
+    "integer": st.integers(-50, 50),
+    "fraction": rationals,
+    "quadratic": st.builds(lambda a, b: QuadraticElement(a, b, 5),
+                           rationals, rationals),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("shape", ["self, even r", "self, odd r",
+                                   "two forms"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_transvectant_matches_the_textbook_formula(shape, kind, data):
+    def form(least):
+        n = data.draw(st.integers(least, 8))
+        cs = st.lists(COEFFICIENTS[kind], min_size=n + 1, max_size=n + 1)
+        return BinaryForm(n, data.draw(cs))
+
+    if shape == "two forms":
+        f, h = form(0), form(0)
+        r = data.draw(st.integers(0, min(f.degree, h.degree)))
+    else:
+        f = h = form(1)
+        parity = 0 if shape == "self, even r" else 1
+        r = data.draw(st.sampled_from(
+            [k for k in range(f.degree + 1) if k % 2 == parity]))
+    assert transvectant(f, h, r) == _textbook_transvectant(f, h, r)
 
 
 def test_substitution_composes_with_product():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icosacurves import loci
 from icosacurves.errors import (
     NotInLocus,
     NotOnLocus,
@@ -21,6 +22,7 @@ from icosacurves.invariants import (
 )
 from icosacurves.loci import (
     _quadratic_root,
+    _reduce_plane_model,
     build_locus,
     evaluate_plane_model,
     fiber_model,
@@ -193,3 +195,53 @@ def test_fiber_model_lives_over_the_moduli_field(locus1, fibers1):
                for c in m.f.coeffs)
     u = _u_of_model(m)
     assert check_group_relation(u) == "Z2xA5"
+
+
+def _times(*factors):
+    """Product of bivariate polynomials given as {(j, k): c} for X^j Y^k."""
+    out = {(0, 0): 1}
+    for fac in factors:
+        prod = {}
+        for (j1, k1), c1 in out.items():
+            for (j2, k2), c2 in fac.items():
+                key = (j1 + j2, k1 + k2)
+                prod[key] = prod.get(key, 0) + c1 * c2
+        out = {jk: c for jk, c in prod.items() if c}
+    return out
+
+
+def _columns(R):
+    """cols[k], the X-polynomial multiplying Y^k in R."""
+    width = max(j for j, _ in R) + 1
+    return [Poly([F(R.get((j, k), 0)) for j in range(width)])
+            for k in range(max(k for _, k in R) + 1)]
+
+
+def _no_gcd_over_QX(*args):
+    raise AssertionError("the point certificate should have sufficed")
+
+
+def test_reduce_plane_model_strips_a_squared_factor():
+    # R(x0, Y) is a square at every x0, so the exact gcd over Q(X) runs
+    Q = {(0, 2): 1, (3, 0): -1, (0, 0): -2}          # Y^2 - X^3 - 2
+    L = {(0, 1): 1, (1, 0): 1}                       # Y + X
+    got = _reduce_plane_model(_columns(_times(Q, Q, L)))
+    assert got == _times({(0, 0): -1}, Q, L)
+
+
+def test_reduce_plane_model_skips_roots_of_the_leading_column(monkeypatch):
+    # ((X - 1) Y + 1)^2 at X = 1 is the squarefree constant 1, which
+    # certifies nothing: the point must move on to X = 2
+    square = _times(*[{(1, 1): 1, (0, 1): -1, (0, 0): 1}] * 2)
+    assert _reduce_plane_model(_columns(square)) == {
+        (1, 1): 1, (0, 1): -1, (0, 0): 1}
+    monkeypatch.setattr(loci, "RationalFunction", _no_gcd_over_QX)
+    R = {(1, 2): 1, (0, 2): -1, (0, 1): 1, (1, 0): 1}  # (X-1)Y^2 + Y + X
+    assert _reduce_plane_model(_columns(R)) == R
+
+
+def test_reduce_plane_model_strips_one_variable_factors(monkeypatch):
+    monkeypatch.setattr(loci, "RationalFunction", _no_gcd_over_QX)
+    curve = {(0, 2): 1, (3, 0): -1, (1, 0): -1}      # Y^2 - X^3 - X
+    R = _times({(2, 0): 3, (0, 0): 3}, {(0, 1): 1, (0, 0): -3}, curve)
+    assert _reduce_plane_model(_columns(R)) == _times({(0, 0): -1}, curve)
