@@ -37,7 +37,10 @@ from .polyring import (
 
 def _first_entry_one(entries):
     """The entries scaled so the first nonzero one is 1."""
-    inv = next(e for e in entries if e).inverse()
+    lead = next(e for e in entries if e)
+    if lead == 1:
+        return tuple(entries)
+    inv = lead.inverse()
     return tuple(e * inv for e in entries)
 
 
@@ -336,9 +339,19 @@ def normalize_element_to_scaling(gamma):
 class _OrbitProductSampler:
     """Exact samples of the coefficients of prod_g ((c x+d) T - (a x+b)).
 
-    Matrices are cleared to integer vectors over the 5th cyclotomic field by
-    rational per-matrix scalars, so every coefficient of the product in T
-    stays a rational polynomial in x; its values come out as plain integers.
+    The group's diagonal maps, normalised to (1, 0, 0, lam), must have lam
+    running over all m-th roots of unity, for m their number (m = 1 when the
+    identity is the only one).  The factors of a right coset, the maps
+    (a, b, lam*c, lam*d) for one normalised g = (a, b, c, d), then multiply
+    to one binomial: prod_lam (lam*A - B) = +-(A^m - B^m) with A = (c x+d) T
+    and B = a x+b.  So each sample multiplies one binomial in U = T^m per
+    coset, and m = 1 multiplies every linear factor.  Every coset member
+    must be an element of the group, else the data raise InconsistentData.
+    Representatives are cleared to integer vectors over the 5th cyclotomic
+    field by rational scalars, so the product is a rational multiple of the
+    one over the group's normalised matrices, every coefficient of it in T
+    stays a rational polynomial in x, and its values come out as plain
+    integers.
     """
 
     def __init__(self, group):
@@ -349,13 +362,33 @@ class _OrbitProductSampler:
             if sub is None:
                 n, subs = _joint_small_field([g.a, g.b, g.c, g.d])
                 if n not in (1, 5):
-                    raise ValueError("group entries escape the small field")
+                    raise InconsistentData(
+                        "group entries escape the small field")
                 f5 = cyclotomic_field(5)
                 sub = tuple(f5.element(s.coeffs if n == 5 else [
                     s.rational_value()]) for s in subs)
-            ints, _ = clear_denominators([c for e in sub for c in e.coeffs])
-            mats.append([tuple(ints[i:i + 4]) for i in range(0, 16, 4)])
-        self.mats = mats
+            mats.append(_first_entry_one(sub))
+        lams = [d for a, b, c, d in mats if not b and not c]
+        m = len(lams)
+        if not m or len(set(lams)) != m or any(lam ** m != 1 for lam in lams):
+            raise InconsistentData(
+                "diagonal maps are not the m-th roots of unity", m=m)
+        members = set(mats)
+        covered = set()
+        reps = []
+        for mat in mats:
+            if mat in covered:
+                continue
+            a, b, c, d = mat
+            coset = {(a, b, lam * c, lam * d) for lam in lams}
+            if not coset <= members:
+                raise InconsistentData(
+                    "group is not closed under its diagonal maps")
+            covered |= coset
+            ints, _ = clear_denominators([q for e in mat for q in e.coeffs])
+            reps.append([tuple(ints[i:i + 4]) for i in range(0, 16, 4)])
+        self.reps = reps
+        self.m = m
         self.size = len(mats)
 
     def coefficients_at(self, xv):
@@ -364,23 +397,26 @@ class _OrbitProductSampler:
         None signals a sample where the top coefficient vanishes (the point
         hits a pole of the orbit); such samples are skipped by callers.
         """
-        ops = self.ops
+        ops, m = self.ops, self.m
         poly = [ops.one()]
-        for a, b, c, d in self.mats:
-            alpha = ops.add(ops.scale(c, xv), d)
-            beta = ops.add(ops.scale(a, xv), b)
+        for a, b, c, d in self.reps:
+            alpha = base_a = ops.add(ops.scale(c, xv), d)
+            beta = base_b = ops.add(ops.scale(a, xv), b)
+            for _ in range(m - 1):
+                alpha = ops.mul(alpha, base_a)
+                beta = ops.mul(beta, base_b)
             nxt = [ops.zero() for _ in range(len(poly) + 1)]
             for k, coef in enumerate(poly):
                 if any(coef):
                     nxt[k + 1] = ops.add(nxt[k + 1], ops.mul(coef, alpha))
                     nxt[k] = ops.sub(nxt[k], ops.mul(coef, beta))
             poly = nxt
-        out = []
-        for vec in poly:
+        out = [0] * (self.size + 1)
+        for k, vec in enumerate(poly):
             if any(vec[1:]):
                 raise InconsistentData(
                     "orbit product coefficient is not rational", at=xv)
-            out.append(vec[0])
+            out[k * m] = vec[0]
         if out[-1] == 0:
             return None
         return out
@@ -390,7 +426,11 @@ def first_nonconstant_symmetric_function(group):
     """Smallest k whose k-th elementary symmetric orbit function varies.
 
     Returns (k, the function) with the function reconstructed exactly from
-    integer samples and verified on spare points.
+    integer samples and verified on spare points.  The samples come from
+    _OrbitProductSampler, one binomial per coset of the diagonal maps, so
+    only k divisible by their number m can vary; m = 1 multiplies all the
+    linear factors.  A group whose diagonal maps are not the m-th roots of
+    unity, or not closed under them, raises InconsistentData.
     """
     sampler = _OrbitProductSampler(group)
     n = sampler.size

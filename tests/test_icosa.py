@@ -7,6 +7,7 @@ import pytest
 
 from icosacurves.errors import (
     FixedPointsOutsideField,
+    InconsistentData,
     OrderTooLarge,
     ParabolicElement,
 )
@@ -14,6 +15,7 @@ from icosacurves.exactfield import EPSILON5, I_UNIT, ZETA, cyclotomic_field
 from icosacurves.icosa import (
     IcosahedralGroup,
     MoebiusMap,
+    _OrbitProductSampler,
     build_icosahedral_group,
     edge_form,
     face_form,
@@ -172,6 +174,85 @@ def test_symmetric_function_cyclic_oracle():
     k, s = first_nonconstant_symmetric_function(grp)
     assert k == 5
     assert s == RationalFunction(Poly([0, 0, 0, 0, 0, F(1)]))
+
+
+def _plain_orbit_product(group, xv):
+    """prod_g ((c x+d) T - (a x+b)) at x = xv, one linear factor at a time."""
+    f5 = cyclotomic_field(5)
+    poly = [f5.one()]
+    for g in group.elements:
+        a, b, c, d = g.sub5
+        alpha, beta = c * xv + d, a * xv + b
+        nxt = [f5.zero() for _ in range(len(poly) + 1)]
+        for k, coef in enumerate(poly):
+            nxt[k + 1] = nxt[k + 1] + coef * alpha
+            nxt[k] = nxt[k] - coef * beta
+        poly = nxt
+    return poly
+
+
+def test_orbit_product_sampler_matches_plain_product():
+    # the coset binomials give the 60-factor product up to a rational scalar
+    grp = build_icosahedral_group()
+    sampler = _OrbitProductSampler(grp)
+    assert sampler.m == 5
+    for xv in (1, -1, 2, 3):
+        plain = _plain_orbit_product(grp, xv)
+        assert all(c.is_rational() for c in plain)
+        plain = [c.rational_value() for c in plain]
+        sampled = sampler.coefficients_at(xv)
+        assert [F(c, plain[-1]) for c in plain] == [
+            F(c, sampled[-1]) for c in sampled]
+
+
+def test_symmetric_function_without_diagonal_rotations():
+    # x -> x+1 conjugates the rotations to (zeta^k, 1-zeta^k, 0, 1): only the
+    # identity is diagonal, so m = 1, and the orbit product is
+    # (T-1)^5 - (x-1)^5, whose fifth symmetric function is (x-1)^5 + 1
+    f5 = cyclotomic_field(5)
+    maps = []
+    for k in range(5):
+        m = MoebiusMap(EPSILON5 ** k, 1 - EPSILON5 ** k, 0, 1)
+        m.sub5 = (f5.zeta(k), 1 - f5.zeta(k), f5.zero(), f5.one())
+        maps.append(m)
+    grp = IcosahedralGroup(maps, (maps[1],))
+    assert _OrbitProductSampler(grp).m == 1
+    k, s = first_nonconstant_symmetric_function(grp)
+    assert k == 5
+    assert s == RationalFunction(Poly([0, F(5), F(-10), F(10), F(-5), F(1)]))
+
+
+def _without(group, drop):
+    kept = [g for g in group.elements if g is not drop]
+    return IcosahedralGroup(kept, group.generators)
+
+
+def test_symmetric_function_rejects_group_without_identity():
+    grp = build_icosahedral_group()
+    identity = next(g for g in grp.elements if g.is_identity())
+    with pytest.raises(InconsistentData, match="roots of unity"):
+        first_nonconstant_symmetric_function(_without(grp, identity))
+
+
+def test_symmetric_function_rejects_diagonal_maps_off_the_roots_of_unity():
+    # {x, zeta x}: two diagonal maps, but zeta is not a square root of unity
+    maps = _cyclic_group().elements[:2]
+    with pytest.raises(InconsistentData, match="roots of unity"):
+        first_nonconstant_symmetric_function(
+            IcosahedralGroup(maps, (maps[1],)))
+
+
+def test_symmetric_function_rejects_a_missing_coset_member():
+    grp = build_icosahedral_group()
+    rotation = next(g for g in grp.elements if g.order() == 3)
+    with pytest.raises(InconsistentData, match="not closed"):
+        first_nonconstant_symmetric_function(_without(grp, rotation))
+
+
+def test_orbit_product_sampler_rejects_entries_outside_q_zeta5():
+    with pytest.raises(InconsistentData, match="escape"):
+        _OrbitProductSampler(
+            IcosahedralGroup([MoebiusMap(I_UNIT, 0, 0, 1)], ()))
 
 
 def test_moebius_equivalence_synthetic():
