@@ -7,10 +7,9 @@ with a stable id.  Exit codes: 0 success, 1 domain error (JSON details
 on stderr), 2 verification failure, 64 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -450,7 +449,11 @@ def _cmd_locus(args):
 
 
 def _cmd_model(args):
-    if args.case is not None:
+    if args.case is not None or args.fiber is not None:
+        if args.genus is not None or args.lam is not None:
+            raise UsageError("--case/--fiber cannot be combined with "
+                             "--genus/--lambda")
+        _require(args.case, "--case")
         fiber_no = _require(args.fiber, "--fiber")
         if fiber_no not in (1, 2, 3):
             raise UsageError("--fiber must be 1 (collision), 2 (zero) or "
@@ -480,8 +483,33 @@ def _cmd_verify(args):
 # argument parsing
 # ----------------------------------------------------------------------------
 
+def _terminal_columns():
+    # shutil.get_terminal_size().columns, without importing shutil and the
+    # compression modules it pulls in
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        return os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+    except (AttributeError, ValueError, OSError):
+        return 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it would pick itself."""
+
+    def __init__(self, prog, **kwargs):
+        if kwargs.get("width") is None:
+            kwargs["width"] = _terminal_columns() - 2
+        super().__init__(prog, **kwargs)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
         # argparse takes only plain numbers such as -3 for negative values
         # and reads -3/7 or -3,2 as a flag; no option here starts with a

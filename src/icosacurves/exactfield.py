@@ -14,7 +14,6 @@ the bottom to integer perfect-square tests.  No floating point anywhere.
 """
 
 import math
-import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
@@ -781,6 +780,8 @@ def _is_probable_prime(n):
 
 def _brent_rho(n, max_iter):
     """One Brent-cycle factor attempt; returns a nontrivial factor or None."""
+    import random
+
     if n % 2 == 0:
         return 2
     rng = random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))

@@ -8,7 +8,7 @@ to one factor of x) or the even-conjugated model over the Gaussian
 rationals.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .decomp import (
@@ -40,22 +40,12 @@ _CASES = {
 }
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
-    case_no: int
-    group: str
-    delta: int
-    multipliers: frozenset
-    genus: int
+CaseDescriptor = namedtuple("CaseDescriptor",
+                            "case_no group delta multipliers genus")
 
-
-@dataclass
-class CurveModel:
-    f: Poly
-    genus: int
-    model: str
-    case: CaseDescriptor
-    params: list
+# y^2 = f(x): the Poly f, its genus, the model name ("x5" or "x2"), the
+# CaseDescriptor and the list of branch values
+CurveModel = namedtuple("CurveModel", "f genus model case params")
 
 
 def classify_genus(g):
@@ -87,6 +77,7 @@ def multiplier_forms(model):
 
 _FACE_CUBE = {}
 _VERTEX_FIFTH = {}
+_MULTIPLIER_PRODUCT = {}
 
 
 def _powers(model):
@@ -99,6 +90,19 @@ def _powers(model):
             _FACE_CUBE[model] = forms["face"] ** 3 * Fraction(64)
             _VERTEX_FIFTH[model] = forms["vertex"] ** 5
     return _FACE_CUBE[model], _VERTEX_FIFTH[model]
+
+
+def _multiplier_product(model, multipliers):
+    """The lambda-free part of a curve equation: its fixed orbit forms."""
+    key = (model, multipliers)
+    if key not in _MULTIPLIER_PRODUCT:
+        forms = multiplier_forms(model)
+        f = Poly([1])
+        for name in ("edge", "face", "vertex"):
+            if name in multipliers:
+                f = f * forms[name]
+        _MULTIPLIER_PRODUCT[key] = f
+    return _MULTIPLIER_PRODUCT[key]
 
 
 def lambda_factor(lam, model="x5"):
@@ -127,11 +131,7 @@ def curve_equation(g, lams, model="x5"):
             if a == b:
                 raise DuplicateBranchValue("branch values must be distinct",
                                            value=a)
-    forms = multiplier_forms(model)
-    f = Poly([1])
-    for name in ("edge", "face", "vertex"):
-        if name in desc.multipliers:
-            f = f * forms[name]
+    f = _multiplier_product(model, desc.multipliers)
     for lam in lams:
         f = f * lambda_factor(lam, model)
     if f.degree not in (2 * g + 1, 2 * g + 2):

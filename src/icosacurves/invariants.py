@@ -8,14 +8,11 @@ by a root-free formula, and from those we detect the full automorphism
 group and recover the symmetric functions of the branch values.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Optional, Tuple
 
 from .decomp import (
     conjugated_edge_form,
@@ -159,22 +156,15 @@ def _partial_columns(f, r):
     return [a[i:i + r + 1] for i in range(n - r + 1)]
 
 
-@dataclass
-class InvariantSet:
+class InvariantSet(namedtuple("InvariantSet",
+                              "I2 I4 I6 I6star i1 i2 i3 i4")):
     """Classical invariants of a curve model and their absolute ratios.
 
     The i-slots are None when their denominators vanish (or, for i3, when
     the degree is too small for I6star to exist at all).
     """
 
-    I2: object
-    I4: object
-    I6: object
-    I6star: Optional[object]
-    i1: Optional[object]
-    i2: Optional[object]
-    i3: Optional[object]
-    i4: Optional[object]
+    __slots__ = ()
 
     def absolute(self):
         """(i1, i2, i3, i4), raising when I2 kills the normalization."""
@@ -271,16 +261,14 @@ def _demote(x):
     return x
 
 
-@dataclass(frozen=True)
-class DihedralInvariants:
+class DihedralInvariants(namedtuple("DihedralInvariants", "d values")):
     """Root-free dihedral invariants of an even model.
 
     d is the reduced degree (genus + 1 or genus, by full group); values
     holds u_1 ... u_(d-1) in order.
     """
 
-    d: int
-    values: Tuple
+    __slots__ = ()
 
     def u(self, i):
         if not 1 <= i <= self.d - 1:

@@ -9,14 +9,11 @@ parameterization at nonsingular points, and emits curve models over the
 field of moduli.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
 
 from .errors import (
     EliminationDegenerate,
@@ -55,30 +52,16 @@ from .polyring import (
 )
 
 
-@dataclass
-class LocusCurve:
-    """A one-parameter family traced in the (i1, i2) plane."""
+# A one-parameter family traced in the (i1, i2) plane: F maps (j, k) to
+# the integer coefficient of i1^j i2^k, the i-slots are RationalFunctions
+# and the I-slots Polys in lambda, and kappa is the triple of Fractions
+# carrying case 1 to the printed normalisation (None in other cases)
+LocusCurve = namedtuple(
+    "LocusCurve", "case_no genus F i1_of_lambda i2_of_lambda I2_of_lambda "
+    "I4_of_lambda I6_of_lambda I6star_of_lambda kappa")
 
-    case_no: int
-    genus: int
-    F: Dict[Tuple[int, int], int]
-    i1_of_lambda: RationalFunction
-    i2_of_lambda: RationalFunction
-    I2_of_lambda: Poly
-    I4_of_lambda: Poly
-    I6_of_lambda: Poly
-    I6star_of_lambda: Poly
-    kappa: Optional[Tuple[Fraction, Fraction, Fraction]]
-
-
-@dataclass(frozen=True)
-class SingularFiber:
-    """A parameter quadratic over which the moduli map degenerates."""
-
-    kind: str
-    q: Poly
-    D: int
-    d_table: int
+# A parameter quadratic over which the moduli map degenerates
+SingularFiber = namedtuple("SingularFiber", "kind q D d_table")
 
 
 _SAMPLE_COUNT = 25

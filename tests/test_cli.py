@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from icosacurves.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -174,3 +179,65 @@ def test_decomp_workload_output_matches_the_record(capsys, command):
     want = EXPECTED[command]
     assert rc == want["rc"]
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("model", "--genus", "29", "--lambda", "3", "--case", "1", "--fiber", "1"),
+    ("model", "--genus", "29", "--lambda", "3", "--fiber", "2"),
+    ("model", "--genus", "29", "--case", "1", "--fiber", "1"),
+    ("model", "--lambda", "3", "--case", "1", "--fiber", "1"),
+    ("model", "--fiber", "1"),
+])
+def test_model_rejects_flags_of_the_other_path(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and "--case" in err
+
+
+def python_s(args, env_update=None, drop=()):
+    """Run ``python -S`` on the source tree: no site-packages, as the
+    benchmark children run."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = str(SRC)
+    env.update(env_update or {})
+    return subprocess.run([sys.executable, "-S", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_imports_only_the_standard_library_it_runs():
+    script = (
+        "import sys\n"
+        "import icosacurves.cli as cli\n"
+        "cli._build_parser()\n"
+        "assert cli.main(['icosa', 'phi']) == 0\n"
+        "heavy = ('dataclasses', 'typing', 'inspect', 'random', 'shutil')\n"
+        "print(sorted(m for m in heavy if m in sys.modules),"
+        " file=sys.stderr)\n")
+    proc = python_s(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+
+
+# the parser's formatter must wrap exactly as argparse's own, which sizes
+# itself through shutil.get_terminal_size; stdout is a pipe here
+REFERENCE_MAIN = ("import argparse, sys\n"
+                  "import icosacurves.cli as cli\n"
+                  "cli._HelpFormatter = argparse.HelpFormatter\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("columns", [None, "120"])
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("model", "--help"),
+    ("invariants", "--help"),
+    ("locus", "--case", "9"),
+])
+def test_help_and_usage_errors_match_argparse(columns, argv):
+    env = {} if columns is None else {"COLUMNS": columns}
+    got = python_s(["-m", "icosacurves.cli", *argv], env, drop=("COLUMNS",))
+    want = python_s(["-c", REFERENCE_MAIN, *argv], env, drop=("COLUMNS",))
+    assert (got.returncode, got.stdout, got.stderr) == (
+        want.returncode, want.stdout, want.stderr)
+    assert got.stdout or got.returncode == 64

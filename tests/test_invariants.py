@@ -325,3 +325,42 @@ def test_normal_form_symmetry_rejects_generic():
     b = [F(1), F(2), F(3), F(4), F(5), F(6), F(7)]
     rep = normal_form_symmetry_report(b)
     assert not rep["consistent"]
+
+
+def test_record_types_are_immutable_named_records():
+    import icosacurves as ic
+
+    fields = {
+        ic.CaseDescriptor: ("case_no", "group", "delta", "multipliers",
+                            "genus"),
+        ic.CurveModel: ("f", "genus", "model", "case", "params"),
+        ic.InvariantSet: ("I2", "I4", "I6", "I6star", "i1", "i2", "i3",
+                          "i4"),
+        ic.DihedralInvariants: ("d", "values"),
+        ic.LocusCurve: ("case_no", "genus", "F", "i1_of_lambda",
+                        "i2_of_lambda", "I2_of_lambda", "I4_of_lambda",
+                        "I6_of_lambda", "I6star_of_lambda", "kappa"),
+        ic.SingularFiber: ("kind", "q", "D", "d_table"),
+    }
+    for cls, names in fields.items():
+        assert cls._fields == names
+        rec = cls(**{name: k for k, name in enumerate(names)})
+        assert tuple(getattr(rec, n) for n in names) == tuple(
+            range(len(names)))
+        assert repr(rec).startswith(f"{cls.__name__}({names[0]}=0, ")
+        with pytest.raises(AttributeError):
+            setattr(rec, names[0], 1)
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+    u = ic.DihedralInvariants(d=3, values=(F(5), F(7)))
+    assert (u.u(1), u.u(2)) == (F(5), F(7))
+    with pytest.raises(IndexError):
+        u.u(3)
+    inv = ic.InvariantSet(I2=F(2), I4=1, I6=1, I6star=None,
+                          i1=F(1, 4), i2=F(1, 8), i3=None, i4=1)
+    assert inv.absolute() == (F(1, 4), F(1, 8), None, 1)
+    with pytest.raises(NormalizationUndefined):
+        inv._replace(I2=0).absolute()
+    assert ic.InvariantSet.__doc__.startswith("Classical invariants")
+    assert ic.DihedralInvariants.__doc__.startswith("Root-free dihedral")
