@@ -595,13 +595,21 @@ def main(argv=None):
             raise UsageError("a subcommand is required")
         if args.threads < 1:
             raise UsageError("--threads must be a positive integer")
-        return _HANDLERS[args.command](args)
+        rc = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return rc
     except UsageError as e:
         print(f"usage error: {e.message}", file=sys.stderr)
         return 64
     except IcosaError as e:
         print(json.dumps({"error": e.to_json()}, sort_keys=True),
               file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``... | head -1``): exit 1 quietly, with
+        # the real stdout on devnull for the interpreter's flush at exit
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

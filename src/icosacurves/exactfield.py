@@ -1,12 +1,12 @@
-"""Exact arithmetic in cyclotomic fields and their quadratic subfields.
+"""Exact arithmetic in cyclotomic and quadratic fields.
 
 The ambient field is the degree-16 cyclotomic field generated by a primitive
-60th root of unity; every algebraic quantity in this package lives inside it.
-An element is an integer vector over the power basis of the generator and
-one positive denominator, kept in lowest terms: sums combine the integer
-vectors and products run one integer multiply kernel.  Smaller cyclotomic
-fields (orders 3, 4, 5, ...) are available as fast internal representations
-and embed into the ambient field along fixed root-of-unity identifications.
+60th root of unity.  Smaller cyclotomic fields (orders 3, 4, 5, ...) are fast
+internal representations that embed into it along fixed root-of-unity
+identifications.  Quadratic fields Q(sqrt(D)) and the towers
+Q(sqrt(d))(sqrt(D)) carry the curve models.  Every element is an integer
+vector over one positive denominator, kept in lowest terms, and both kinds
+share one set of operators; only the integer product differs by field.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta5, i) < ambient, reducing at
@@ -81,7 +81,7 @@ def _totient(n):
 class CyclotomicField:
     """The field generated by a primitive n-th root of unity."""
 
-    __slots__ = ("n", "degree", "modulus", "_reduction_rows", "_zeta_powers")
+    __slots__ = ("n", "degree", "modulus", "_rows", "_zeta_powers")
 
     def __init__(self, n):
         self.n = n
@@ -89,7 +89,7 @@ class CyclotomicField:
         self.degree = len(self.modulus) - 1
         assert self.degree == _totient(n)
         d = self.degree
-        # x^k mod modulus for k = d .. 2d-2, as integer rows
+        # x^k mod modulus for k = d .. 2d-2, as its nonzero (index, value)
         rows = {}
         cur = [-c for c in self.modulus[:d]]
         rows[d] = tuple(cur)
@@ -102,8 +102,27 @@ class CyclotomicField:
                     nxt[j] += top * base[j]
             cur = nxt
             rows[k] = tuple(cur)
-        self._reduction_rows = rows
+        self._rows = {k: tuple((j, c) for j, c in enumerate(row) if c)
+                      for k, row in rows.items()}
         self._zeta_powers = None
+
+    def mul(self, a, b):
+        """The product of two integer vectors on the power basis: the one
+        cyclotomic multiply kernel."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    conv[i + j] += x * y
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                for j, r in self._rows[k]:
+                    out[j] += c * r
+        return tuple(out)
 
     # -- element construction -------------------------------------------------
 
@@ -139,56 +158,26 @@ def cyclotomic_field(n):
     return _FIELD_CACHE[n]
 
 
-# ----------------------------------------------------------------------------
-# integer coefficient vectors: the one multiply kernel
-# ----------------------------------------------------------------------------
-
 class IntVectorOps:
     """Arithmetic on integer coefficient vectors of a cyclotomic order.
 
-    CycloElement multiplies its integer vectors here, and the orbit loops
-    of the icosa module run here directly on vectors whose denominators
-    they cleared.  Vectors are sequences of ints; results are tuples.
+    The orbit loops of the icosa module run here directly on vectors whose
+    denominators they cleared; mul is the field's own kernel, the one that
+    CycloElement multiplies with.  Vectors are sequences of ints; results
+    are tuples.
     """
 
-    __slots__ = ("n", "degree", "rows")
+    __slots__ = ("n", "degree", "mul")
 
-    _CACHE = {}
-
-    def __new__(cls, n):
-        if n in cls._CACHE:
-            return cls._CACHE[n]
-        self = object.__new__(cls)
+    def __init__(self, n):
         field = cyclotomic_field(n)
-        self.n = n
-        self.degree = field.degree
-        # x^k mod the cyclotomic polynomial, as its nonzero (index, value)
-        self.rows = {k: tuple((j, c) for j, c in enumerate(row) if c)
-                     for k, row in field._reduction_rows.items()}
-        cls._CACHE[n] = self
-        return self
+        self.n, self.degree, self.mul = n, field.degree, field.mul
 
     def zero(self):
         return (0,) * self.degree
 
     def one(self):
         return (1,) + (0,) * (self.degree - 1)
-
-    def mul(self, a, b):
-        d = self.degree
-        conv = [0] * (2 * d - 1)
-        b_terms = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in b_terms:
-                    conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                for j, r in self.rows[k]:
-                    out[j] += c * r
-        return tuple(out)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -200,24 +189,21 @@ class IntVectorOps:
         return tuple(x * c for x in a)
 
 
-class CycloElement:
-    """Element of a cyclotomic field: ints / den on the power basis.
+# ----------------------------------------------------------------------------
+# field elements: integer vectors over one denominator
+# ----------------------------------------------------------------------------
 
-    ints is a tuple of field.degree integers and den a positive integer
-    with gcd(den, *ints) == 1, so each element has one representation.
-    .coeffs is the Fraction coefficient vector, derived on each read.
+class _IntVectorElement:
+    """A field element stored as ints / den on a basis fixed by its field.
+
+    ints is a tuple of integers and den a positive integer with
+    gcd(den, *ints) == 1, so each value has one representation.  Sums
+    combine the integer vectors and products run field.mul, the field's
+    integer product.  A subclass supplies _coerce (the other operand as an
+    element of this field, or None) and inverse.
     """
 
     __slots__ = ("field", "ints", "den")
-
-    def __init__(self, field, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > field.degree:
-            raise ValueError("coefficient vector too long")
-        ints, den = clear_denominators(cs)
-        self.field = field
-        self.ints = tuple(ints) + (0,) * (field.degree - len(ints))
-        self.den = den
 
     def _new(self, ints, den=1):
         """ints / den in lowest terms, of this element's type and field."""
@@ -234,22 +220,9 @@ class CycloElement:
 
     @property
     def coeffs(self):
+        """The Fraction coefficient vector, derived on each read."""
         den = self.den
         return tuple(Fraction(c, den) for c in self.ints)
-
-    def _coerce(self, other):
-        if isinstance(other, CycloElement):
-            if other.field.n != self.field.n:
-                raise ValueError("mixed cyclotomic fields; convert explicitly")
-            return other
-        if isinstance(other, (int, Fraction)):
-            zeros = (0,) * (self.field.degree - 1)
-            return self._new((other.numerator,) + zeros, other.denominator)
-        if isinstance(other, QuadraticElement) and self.field.n == 60:
-            return to_ambient(other)
-        return None
-
-    # -- ring operations ------------------------------------------------------
 
     def _plus(self, o, sign):
         """self + sign * o for sign 1 or -1."""
@@ -264,23 +237,17 @@ class CycloElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
+        return NotImplemented if o is None else self._plus(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
+        return NotImplemented if o is None else self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __neg__(self):
         return self._new(tuple(-c for c in self.ints), self.den)
@@ -289,22 +256,17 @@ class CycloElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(IntVectorOps(self.field.n).mul(self.ints, o.ints),
-                         self.den * o.den)
+        return self._new(self.field.mul(self.ints, o.ints), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, k):
         if k < 0:
@@ -318,6 +280,50 @@ class CycloElement:
             k >>= 1
         return result
 
+    def __bool__(self):
+        return any(self.ints)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else (
+            self.ints == o.ints and self.den == o.den)
+
+    def is_rational(self):
+        return not any(self.ints[1:])
+
+    def rational_value(self):
+        if not self.is_rational():
+            raise ValueError("element is not rational")
+        return Fraction(self.ints[0], self.den)
+
+
+class CycloElement(_IntVectorElement):
+    """Element of a cyclotomic field: ints / den on the power basis, with
+    field.degree integers."""
+
+    __slots__ = ()
+
+    def __init__(self, field, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > field.degree:
+            raise ValueError("coefficient vector too long")
+        ints, den = clear_denominators(cs)
+        self.field = field
+        self.ints = tuple(ints) + (0,) * (field.degree - len(ints))
+        self.den = den
+
+    def _coerce(self, other):
+        if isinstance(other, CycloElement):
+            if other.field.n != self.field.n:
+                raise ValueError("mixed cyclotomic fields; convert explicitly")
+            return other
+        if isinstance(other, (int, Fraction)):
+            zeros = (0,) * (self.field.degree - 1)
+            return self._new((other.numerator,) + zeros, other.denominator)
+        if isinstance(other, QuadraticElement) and self.field.n == 60:
+            return to_ambient(other)
+        return None
+
     def inverse(self):
         """den times the inverse of ints modulo the cyclotomic polynomial."""
         if not self:
@@ -327,31 +333,11 @@ class CycloElement:
         ints += [0] * (self.field.degree - len(ints))
         return self._new(tuple(c * self.den for c in ints), den)
 
-    # -- predicates and conversions -------------------------------------------
-
-    def __bool__(self):
-        return any(self.ints)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.field.n == o.field.n and self.ints == o.ints
-                and self.den == o.den)
-
     def __hash__(self):
         # a rational element hashes like the Fraction it equals
         if self.is_rational():
             return hash(self.rational_value())
         return hash((self.field.n, self.ints, self.den))
-
-    def is_rational(self):
-        return not any(self.ints[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.ints[0], self.den)
 
     def __repr__(self):
         terms = [f"{c}*z{self.field.n}^{k}" if k else str(c)
@@ -396,12 +382,17 @@ def to_ambient(x):
     if isinstance(x, (int, Fraction)):
         return AlgebraicNumber([x])
     if isinstance(x, QuadraticElement):
-        return SQRT_BY_CLASS[x.D] * x.b + x.a if x.b else to_ambient(x.a)
-    imgs = _subfield_basis_images(x.field.n)
+        # only the terms present, so that a part in a square class outside
+        # the ambient field may vanish
+        def image(m):
+            return math.prod((SQRT_BY_CLASS[D] for D in x.field.basis(m)),
+                             start=AlgebraicNumber([1]))
+    else:
+        image = _subfield_basis_images(x.field.n).__getitem__
     acc = AlgebraicNumber()
-    for c, img in zip(x.coeffs, imgs):
+    for m, c in enumerate(x.coeffs):
         if c:
-            acc = acc + img * c
+            acc = acc + image(m) * c
     return acc
 
 
@@ -588,126 +579,144 @@ def cyclo_sqrt(x):
 
 
 # ----------------------------------------------------------------------------
-# quadratic subfield elements
+# quadratic fields and their towers
 # ----------------------------------------------------------------------------
 
-class QuadraticElement:
-    """a + b*sqrt(D) with a fixed squarefree integer D.
+class QuadraticField:
+    """Q(sqrt(D)) for classes (D,), or the tower Q(sqrt(d))(sqrt(D)) for
+    classes (d, D).
 
-    The parts a, b are rationals or themselves QuadraticElements over one
-    other square class d, which makes the tower Q(sqrt(d))(sqrt(D)): with
-    D = -1 this is Q(sqrt(d), i), where a Gaussian-coefficient model is
-    evaluated at a parameter in Q(sqrt(d)).  Rationals combine with
-    either level; an element of Q(sqrt(d)) enters the tower only as a part,
-    since two square classes at one level do not mix.
+    Basis element m is the product of the square roots of the classes whose
+    bits are set in m: (1, sqrt(D)), or (1, sqrt(d), sqrt(D),
+    sqrt(d)*sqrt(D)).  So basis element j times basis element k is
+    squares[j & k] times basis element j ^ k.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("classes", "D", "squares")
 
-    def __init__(self, a, b, D):
+    _CACHE = {}
+
+    def __new__(cls, classes):
+        if classes not in cls._CACHE:
+            self = cls._CACHE[classes] = object.__new__(cls)
+            self.classes, self.D = classes, classes[-1]
+            self.squares = tuple(math.prod(self.basis(m))
+                                 for m in range(1 << len(classes)))
+        return cls._CACHE[classes]
+
+    def basis(self, m):
+        """The classes whose square roots multiply to basis element m."""
+        return tuple(c for bit, c in enumerate(self.classes) if m >> bit & 1)
+
+    def mul(self, a, b):
+        """The product of two integer vectors on the basis."""
+        sq = self.squares
+        out = [0] * len(sq)
+        for j, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b):
+                    if y:
+                        out[j ^ k] += x * y * sq[j & k]
+        return tuple(out)
+
+
+class QuadraticElement(_IntVectorElement):
+    """a + b*sqrt(D) with a fixed squarefree integer D.
+
+    The parts a, b are rationals, stored as 2 integers over one
+    denominator, or elements of Q(sqrt(d)) for one other square class d,
+    which makes the tower Q(sqrt(d))(sqrt(D)) on 4 integers: with D = -1
+    this is Q(sqrt(d), i), where a Gaussian-coefficient model is evaluated
+    at a parameter in Q(sqrt(d)).  Rationals combine with either level and
+    an element of Q(sqrt(D)) is promoted into the tower when the two meet;
+    an element of Q(sqrt(d)) enters the tower only as a part, since two
+    square classes at one level do not mix.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, D):
         if D in (0, 1):
             raise ValueError("D must be a nonsquare integer")
-        self.a = a if isinstance(a, (Fraction, QuadraticElement)) \
-            else Fraction(a)
-        self.b = b if isinstance(b, (Fraction, QuadraticElement)) \
-            else Fraction(b)
-        self.D = int(D)
+        inner = {p.field for p in (a, b) if isinstance(p, QuadraticElement)}
+        if len(inner) > 1 or any(len(f.classes) > 1 for f in inner):
+            raise ValueError("tower parts must share one quadratic field")
+        cs = [c for p in (a, b) for c in
+              (p.coeffs if isinstance(p, QuadraticElement)
+               else (Fraction(p),) + (_ZERO,) * len(inner))]
+        self = object.__new__(_QuadraticTower if inner else QuadraticElement)
+        self.field = QuadraticField(tuple(f.D for f in inner) + (int(D),))
+        ints, self.den = clear_denominators(cs)
+        self.ints = tuple(ints)
+        return self
+
+    def _part(self, k):
+        h = len(self.ints) // 2
+        cs = [Fraction(c, self.den) for c in self.ints[k * h:k * h + h]]
+        return QuadraticElement(*cs, self.field.classes[0]) if h > 1 else cs[0]
+
+    @property
+    def a(self):
+        """The rational part, or in a tower the part in Q(sqrt(d))."""
+        return self._part(0)
+
+    @property
+    def b(self):
+        """The coefficient of sqrt(D), of the same kind as a."""
+        return self._part(1)
+
+    @property
+    def D(self):
+        return self.field.D
 
     def _coerce(self, other):
         if isinstance(other, QuadraticElement):
-            if other.D != self.D:
-                raise ValueError("mixed quadratic fields")
-            return other
+            if other.field is self.field:
+                return other
+            if other.D == self.D and len(other.ints) != len(self.ints):
+                if len(other.ints) > len(self.ints):
+                    return None  # the tower operand promotes this one
+                a, b = other.ints
+                return self._new((a, 0, b, 0), other.den)
+            raise ValueError("mixed quadratic fields")
         if isinstance(other, (int, Fraction)):
-            return QuadraticElement(other, 0, self.D)
+            zeros = (0,) * (len(self.ints) - 1)
+            return self._new((other.numerator,) + zeros, other.denominator)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadraticElement(self.a + o.a, self.b + o.b, self.D)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadraticElement(self.a - o.a, self.b - o.b, self.D)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return QuadraticElement(-self.a, -self.b, self.D)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadraticElement(self.a * o.a + self.D * self.b * o.b,
-                                self.a * o.b + self.b * o.a, self.D)
-
-    __rmul__ = __mul__
-
     def inverse(self):
-        n = self.a * self.a - self.D * self.b * self.b
-        if n == 0:
+        """The product of the other conjugates divided by the norm."""
+        if not self:
             raise DivisionByZero("inverse of zero quadratic element")
-        return QuadraticElement(self.a / n, -self.b / n, self.D)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = QuadraticElement(1, 0, self.D)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        x, mul = self.ints, self.field.mul
+        y = None
+        for s in range(1, len(x)):  # negate the square roots of the bits of s
+            c = tuple(-v if (m & s).bit_count() & 1 else v
+                      for m, v in enumerate(x))
+            y = c if y is None else mul(y, c)
+        norm = mul(x, y)[0]
+        if not norm:
+            raise DivisionByZero("zero divisor of a quadratic tower")
+        sign = -1 if norm < 0 else 1
+        return self._new(tuple(v * self.den * sign for v in y), abs(norm))
 
     def __hash__(self):
-        # equal values hash alike: with b == 0 the element is a, and in
-        # the square classes of the ambient field it is its image there
-        if not self.b:
-            return hash(self.a)
+        # equal values hash alike: a rational as its Fraction, a value in the
+        # square classes of the ambient field as its image there, any other
+        # by the classes of its nonzero basis terms, whatever its level
+        if self.is_rational():
+            return hash(self.rational_value())
         try:
             return hash(to_ambient(self))
         except KeyError:  # a square class outside the ambient field
-            return hash((self.a, self.b, self.D))
+            return hash((self.den,) + tuple((self.field.basis(m), c) for m, c
+                                            in enumerate(self.ints) if c))
 
     def conjugate(self):
-        return QuadraticElement(self.a, -self.b, self.D)
-
-    def is_rational(self):
-        return self.b == 0
+        """sqrt(D) -> -sqrt(D), which fixes the parts."""
+        h = len(self.ints) // 2
+        return self._new(self.ints[:h] + tuple(-c for c in self.ints[h:]),
+                         self.den)
 
     def to_json(self):
         return {"a": str(self.a), "b": str(self.b), "D": str(self.D)}
@@ -716,38 +725,33 @@ class QuadraticElement:
         return f"({self.a} + {self.b}*sqrt({self.D}))"
 
 
+class _QuadraticTower(QuadraticElement):
+    """An element of Q(sqrt(d))(sqrt(D)).  Its own type, so that an element
+    of Q(sqrt(D)) on the left of an operator defers to it."""
+
+    __slots__ = ()
+
+
 def embed_subfield(x):
     """Express an ambient element inside Q or a quadratic subfield.
 
     Returns a Fraction for rational input, a QuadraticElement for an element
-    of degree two, and raises otherwise.
+    of degree two, and raises otherwise.  The Galois group of the ambient
+    field is Z2 x Z2 x Z4, with seven subgroups of index two, so the seven
+    pinned roots span all of its quadratic subfields.
     """
     x = to_ambient(x)
     if x.is_rational():
         return x.rational_value()
-    sq = x * x
-    # solve sq == alpha*x + beta
-    cs = x.coeffs
-    rows = [[cs[i], _ONE if i == 0 else _ZERO] for i in range(16)]
-    sol = solve_linear(rows, sq.coeffs)
-    if sol is None:
-        raise NotInQuadraticSubfield(
-            "element generates a subfield of degree above two")
-    alpha, beta = sol
-    half_trace = alpha / 2
-    t = x - half_trace
-    quarter_disc = beta + half_trace * half_trace   # t^2, a rational
-    if quarter_disc == 0:
-        raise NotInQuadraticSubfield("degenerate quadratic relation")
-    D = squarefree_part(quarter_disc.numerator * quarter_disc.denominator)
-    root = SQRT_BY_CLASS.get(D)
-    if root is None:
-        raise NotInQuadraticSubfield(
-            f"square class {D} does not occur in the ambient field")
-    ratio = t / root
-    if not ratio.is_rational():
-        raise NotInQuadraticSubfield("inconsistent quadratic embedding")
-    return QuadraticElement(half_trace, ratio.rational_value(), D)
+    for D, root in SQRT_BY_CLASS.items():
+        # x == a + b*root: 16 equations in the two unknowns a, b
+        rows = [[_ONE if i == 0 else _ZERO, c]
+                for i, c in enumerate(root.coeffs)]
+        sol = solve_linear(rows, x.coeffs)
+        if sol is not None:
+            return QuadraticElement(*sol, D)
+    raise NotInQuadraticSubfield(
+        "element generates a subfield of degree above two")
 
 
 # ----------------------------------------------------------------------------

@@ -341,7 +341,7 @@ def singular_fibers(locus):
 
     coll = fibers[0]
     root = _quadratic_root(coll.q, coll.d_table)
-    conj = QuadraticElement(root.a, -root.b, root.D)
+    conj = root.conjugate()
     for rf in (i1, i2):
         if rf(root) != rf(conj):
             raise UnexpectedFactorStructure(

@@ -361,14 +361,6 @@ def _mod_sqrt(a, p):
     return r
 
 
-def _residue(c, prime):
-    """A rational c mod prime, or None when its denominator vanishes."""
-    c = Fraction(c)
-    if c.denominator % prime == 0:
-        return None
-    return c.numerator * pow(c.denominator, -1, prime) % prime
-
-
 def poly_mod_p(poly, prime, root_map=None):
     """Reduce coefficients mod prime; None when a denominator vanishes.
 
@@ -383,26 +375,19 @@ def poly_mod_p(poly, prime, root_map=None):
     out = []
     for c in poly.coeffs:
         if isinstance(c, (int, Fraction)):
-            parts, images = (c,), (1,)
+            ints, den, images = (c.numerator,), c.denominator, (1,)
         elif getattr(c, "D", None) is not None:
             r = root_map.get(c.D)
-            parts = (c.a, c.b)
-            rational = all(isinstance(x, Fraction) for x in parts)
-            images = (1, r) if r is not None and rational else None
+            ints, den = c.ints, c.den
+            images = (1, r) if r is not None and len(ints) == 2 else None
         elif getattr(c, "field", None) in root_map:
-            parts, images = c.coeffs, root_map[c.field]
+            ints, den, images = c.ints, c.den, root_map[c.field]
         else:
             return None
-        if images is None:
+        if images is None or den % prime == 0:
             return None
-        acc = 0
-        for frac, image in zip(parts, images):
-            if frac:
-                r = _residue(frac, prime)
-                if r is None:
-                    return None
-                acc += r * image
-        out.append(acc % prime)
+        acc = sum(v * image for v, image in zip(ints, images))
+        out.append(acc * pow(den, -1, prime) % prime)
     while out and out[-1] == 0:
         out.pop()
     return out

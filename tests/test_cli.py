@@ -181,6 +181,73 @@ def test_decomp_workload_output_matches_the_record(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
+# exit code and stdout sha256 of commands that print quadratic values:
+# Gaussian coefficients (x2 models) and fiber models over Q(sqrt(d)), whose
+# family member is evaluated over the tower Q(sqrt(d))(i); recorded before
+# QuadraticElement became an integer vector
+QUADRATIC_RECORD = {
+    "curve --genus 29 --lambda 7 --model x2": (
+        0, "fa42e1440d46f9a325bdf09ec2d2e27a38ad430dd7d47df1f5f937c18fb8ea1c"),
+    "invariants --genus 29 --lambda 7": (
+        0, "1d5feb69fef83fd2f68e4964a8cbc580c32ad69494255ee263e24084884202b1"),
+    "model --genus 44 --lambda 5": (
+        0, "21f76d765ecb5c093c1fefbfbbd03fa0e5d7b62be53bb8c04dbeeb0ea4d3d0f2"),
+    "model --case 1 --fiber 1": (
+        0, "f8f225f573224a30f495398c28273b88e5d7ced2076a815a255a6ef067c8aa9e"),
+    "model --case 5 --fiber 2": (
+        0, "df9bddc9b313c210e88ab1ebe0c39af3bbd61a054c945c0aa08058b44d1e92b2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUADRATIC_RECORD))
+def test_quadratic_output_matches_the_record(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == \
+        QUADRATIC_RECORD[command]
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone: the write, or the flush of what the
+    writes buffered, raises BrokenPipeError."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [("icosa", "group"),
+                                  ("--format", "text", "icosa", "group")])
+def test_closed_stdout_exits_1_without_a_traceback(capsys, monkeypatch,
+                                                    failing, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout(failing))
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the read end is closed before the child starts, so every write to
+    # its stdout fails, whether in print or in the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "icosacurves.cli", "icosa", "group"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 @pytest.mark.parametrize("argv", [
     ("model", "--genus", "29", "--lambda", "3", "--case", "1", "--fiber", "1"),
     ("model", "--genus", "29", "--lambda", "3", "--fiber", "2"),

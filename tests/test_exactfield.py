@@ -389,3 +389,159 @@ def test_quadratic_elements_hash_like_their_ambient_image(a, b, D):
                              QuadraticElement(b, 0, 7), D)
     assert tower == x and hash(tower) == hash(x)
     assert len({x, image, tower}) == 1
+
+
+# ----------------------------------------------------------------------------
+# QuadraticElement against a Fraction-pair oracle
+# ----------------------------------------------------------------------------
+
+class Pair:
+    """Oracle for a + b*sqrt(D): a pair of parts of one ring, either two
+    Fractions or two Pairs over one inner class (the tower)."""
+
+    def __init__(self, a, b, D):
+        self.a, self.b, self.D = a, b, D
+
+    def __add__(self, o):
+        return Pair(self.a + o.a, self.b + o.b, self.D)
+
+    def __sub__(self, o):
+        return Pair(self.a - o.a, self.b - o.b, self.D)
+
+    def __neg__(self):
+        return Pair(-self.a, -self.b, self.D)
+
+    def __mul__(self, o):
+        if not isinstance(o, Pair):  # a scalar of the base ring
+            return Pair(self.a * o, self.b * o, self.D)
+        return Pair(self.a * o.a + self.b * o.b * self.D,
+                    self.a * o.b + self.b * o.a, self.D)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.a) or bool(self.b)
+
+    def inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.D
+        inv = norm.inverse() if isinstance(norm, Pair) else 1 / norm
+        return Pair(self.a * inv, -self.b * inv, self.D)
+
+
+def const(c, like):
+    """The oracle of the rational c at the level of the oracle like."""
+    if isinstance(like.a, Pair):
+        return Pair(const(c, like.a), const(0, like.a), like.D)
+    return Pair(Fraction(c), Fraction(0), like.D)
+
+
+def lift(x, d):
+    """An oracle of Q(sqrt(D)) as the tower oracle over the class d."""
+    return Pair(Pair(x.a, Fraction(0), d), Pair(x.b, Fraction(0), d), x.D)
+
+
+def agrees(x, want):
+    """x is the element the oracle describes, part for part."""
+    if isinstance(want, Pair):
+        return (isinstance(x, QuadraticElement) and x.D == want.D
+                and agrees(x.a, want.a) and agrees(x.b, want.b))
+    return type(x) is Fraction and x == want
+
+
+def lowest_terms(z, size):
+    return (len(z.ints) == size and all(type(c) is int for c in z.ints)
+            and z.den > 0 and math.gcd(z.den, *z.ints) == 1)
+
+
+# the square class of the case-1 collision fiber, a fiber-sized d
+FIBER_D = 6594752841114090745134757
+LEVELS = [-1, 5, -15, FIBER_D, "tower"]
+
+
+def plain(D):
+    return st.builds(lambda a, b: (QuadraticElement(a, b, D), Pair(a, b, D)),
+                     fraction_strategy, fraction_strategy)
+
+
+def tower(d=FIBER_D):
+    def build(x, y):
+        return (QuadraticElement(x[0], y[0], -1), Pair(x[1], y[1], -1))
+    return st.builds(build, plain(d), plain(d))
+
+
+def level(name):
+    return tower() if name == "tower" else plain(name)
+
+
+@pytest.mark.parametrize("name", LEVELS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quadratic_arithmetic_matches_the_fraction_pair_oracle(name, data):
+    (x, ox), (y, oy) = data.draw(level(name)), data.draw(level(name))
+    size = 4 if name == "tower" else 2
+    half = Fraction(1, 2)
+    results = [(x + y, ox + oy), (x - y, ox - oy), (-x, -ox), (x * y, ox * oy),
+               (x * 3, ox * 3), (half - x, const(half, ox) - ox),
+               (x.conjugate(), Pair(ox.a, -ox.b, ox.D))]
+    power = const(1, ox)
+    for k in range(4):
+        results.append((x ** k, power))
+        power = power * ox
+    if y:
+        results += [(x / y, ox * oy.inverse()), (y.inverse(), oy.inverse()),
+                    (y ** -2, oy.inverse() * oy.inverse()),
+                    (2 / y, oy.inverse() * 2)]
+        assert x / y * y == x
+    else:
+        with pytest.raises(DivisionByZero):
+            y.inverse()
+    for got, want in results:
+        assert agrees(got, want)
+        assert lowest_terms(got, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=tower(), g=plain(-1), f=fraction_strategy)
+def test_gaussian_elements_are_promoted_into_the_tower(t, g, f):
+    (x, ox), (y, oy) = t, g
+    oy = lift(oy, FIBER_D)
+    results = [(x + y, ox + oy), (y + x, ox + oy), (y - x, oy - ox),
+               (x - y, ox - oy), (y * x, oy * ox), (x * y, ox * oy),
+               (f - x, const(f, ox) - ox), (x * f, ox * f)]
+    if y:
+        results.append((x / y, ox * oy.inverse()))
+    if x:
+        results.append((y / x, oy * ox.inverse()))
+    for got, want in results:
+        assert agrees(got, want)
+        assert lowest_terms(got, 4)
+    # mixing two classes at one level is refused
+    with pytest.raises(ValueError):
+        x + QuadraticElement(1, 1, FIBER_D)
+    with pytest.raises(ValueError):
+        y * QuadraticElement(1, 1, 5)
+
+
+@pytest.mark.parametrize("D", [-1, 5, -15, FIBER_D])
+@settings(max_examples=40, deadline=None)
+@given(a=fraction_strategy, b=fraction_strategy)
+def test_equal_values_in_every_form_compare_and_hash_alike(D, a, b):
+    x = QuadraticElement(a, b, D)
+    # the same value as a tower element over the fiber class
+    t = QuadraticElement(QuadraticElement(a, 0, FIBER_D),
+                         QuadraticElement(b, 0, FIBER_D), D)
+    assert x == t and t == x and hash(x) == hash(t)
+    assert lowest_terms(t, 4) and lowest_terms(x, 2)
+    assert t.ints == (x.ints[0], 0, x.ints[1], 0) and t.den == x.den
+    assert len({x, t}) == 1
+    assert (x == a) == (not b) and (t == a) == (not b)
+    if not b:
+        assert hash(x) == hash(t) == hash(a) and a in {x} and x in {a}
+    assert x != x + 1 and t != t + Fraction(1, 3)
+    # a value built along two routes hashes alike
+    y = QuadraticElement(b, a, D)
+    assert hash(x * y) == hash(y * x) and hash((x + y) - y) == hash(x)
+    u = QuadraticElement(QuadraticElement(a, b, FIBER_D),
+                         QuadraticElement(b, a, FIBER_D), D)
+    assert (u + t) - t == u and hash((u + t) - t) == hash(u)
+    assert hash(u * t) == hash(t * u) and u * t == t * u
