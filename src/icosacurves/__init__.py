@@ -39,6 +39,7 @@ from .families import (
     lambda_factor,
     models_equivalent,
     smallest_one_dimensional_genus,
+    symmetric_from_dihedral,
 )
 from .icosa import (
     IcosahedralGroup,
@@ -61,7 +62,6 @@ from .invariants import (
     dihedral_invariants,
     invariant_set,
     normal_form_symmetry_report,
-    symmetric_from_dihedral,
     transvectant,
 )
 from .loci import (

@@ -50,6 +50,7 @@ from .loci import (
     rational_model,
     singular_fibers,
 )
+from .polyring import Poly
 
 FIBER_ROW_ORDER = ("collision", "zero_locus", "infinity_locus")
 
@@ -217,7 +218,6 @@ def _check_branch_golden():
 
 
 def _check_covariant_vanishing():
-    from .polyring import Poly
     for lam in (Fraction(7), Fraction(-2), Fraction(22, 7)):
         cur = curve_equation(29, [lam], "x2")
         vals = covariant_vanishing_checks(cur.f, 29)

@@ -9,6 +9,7 @@ left-factor solver backs all of them and verifies every answer by exact
 composition.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -59,6 +60,17 @@ def conjugated_edge_form():
     return _conjugated_form("edge")
 
 
+@functools.cache
+def conjugated_fiber_pair():
+    """(top, bottom) = (64*face^3, vertex^5) of the conjugated forms.
+
+    The transported invariant map is top/bottom up to one scalar, so the
+    even model's fiber over lam is cut out by top - lam*bottom.
+    """
+    return (conjugated_face_form() ** 3 * Fraction(64),
+            conjugated_vertex_form() ** 5)
+
+
 def gaussian_transport(poly, m):
     """A rational polynomial pulled back through the conjugation to even
     form, x -> (ix + 1)/(-ix + 1), and cleared by (x + 1)^m.
@@ -66,6 +78,7 @@ def gaussian_transport(poly, m):
     That is sum_i c_i i^(m-i) (x - 1)^i (x + 1)^(m-i), with Gaussian
     coefficients; m is the degree of the branch divisor, at least deg poly.
     """
+    # sparse inputs: skipping their zero terms beats homogenize's Horner steps
     pows_minus = [Poly([1])]
     pows_plus = [Poly([1])]
     for _ in range(m):
@@ -106,8 +119,7 @@ def transported_matches_factored():
     FactorMismatch with its index.
     """
     t = transported_invariant_map()
-    nf = conjugated_face_form() ** 3 * Fraction(64)
-    df = conjugated_vertex_form() ** 5
+    nf, df = conjugated_fiber_pair()
     c = t.num.leading() / nf.leading()
     for name, got, want in (("numerator", t.num, nf), ("denominator", t.den, df)):
         for k in range(max(got.degree, want.degree) + 1):
@@ -121,8 +133,8 @@ def conjugated_edge_identity(scalar=None):
     """Whether 64*face^3 - 1728*vertex^5 equals scalar * edge^2 exactly."""
     if scalar is None:
         scalar = load_fixtures().conjugated_identity_scalar
-    lhs = conjugated_face_form() ** 3 * Fraction(64) \
-        - conjugated_vertex_form() ** 5 * Fraction(1728)
+    top, bottom = conjugated_fiber_pair()
+    lhs = top - bottom * Fraction(1728)
     rhs = conjugated_edge_form() ** 2 * scalar
     return lhs == rhs
 

@@ -636,7 +636,7 @@ class QuadraticElement(_IntVectorElement):
     __slots__ = ()
 
     def __new__(cls, a, b, D):
-        if D in (0, 1):
+        if D == 0 or D > 0 and math.isqrt(D) ** 2 == D:
             raise ValueError("D must be a nonsquare integer")
         inner = {p.field for p in (a, b) if isinstance(p, QuadraticElement)}
         if len(inner) > 1 or any(len(f.classes) > 1 for f in inner):
@@ -717,9 +717,6 @@ class QuadraticElement(_IntVectorElement):
         h = len(self.ints) // 2
         return self._new(self.ints[:h] + tuple(-c for c in self.ints[h:]),
                          self.den)
-
-    def to_json(self):
-        return {"a": str(self.a), "b": str(self.b), "D": str(self.D)}
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.D}))"

@@ -5,7 +5,8 @@ a family dimension, a set of fixed orbit multipliers, and one of two
 automorphism groups.  Curve equations are products of branch-value factors
 with those multipliers, in either the plain model (a polynomial in x^5 up
 to one factor of x) or the even-conjugated model over the Gaussian
-rationals.
+rationals.  The branch values are recovered from the dihedral invariants
+of an even model.
 """
 
 from collections import namedtuple
@@ -14,6 +15,7 @@ from fractions import Fraction
 from .decomp import (
     conjugated_edge_form,
     conjugated_face_form,
+    conjugated_fiber_pair,
     conjugated_vertex_form,
     gaussian_transport,
 )
@@ -23,9 +25,11 @@ from .errors import (
     InconsistentData,
     NotEven,
     NotInLocus,
+    SingularSystem,
 )
-from .icosa import edge_form, face_form, vertex_form
-from .polyring import Poly
+from .icosa import edge_form, face_form, fiber_pair, vertex_form
+from .invariants import _demote, dihedral_invariants
+from .polyring import Poly, _inv, nullspace
 
 # per case: genus offset (delta = (g - offset)/30), group, multiplier names
 _CASES = {
@@ -75,21 +79,16 @@ def multiplier_forms(model):
     raise ValueError(f"unknown model {model!r}")
 
 
-_FACE_CUBE = {}
-_VERTEX_FIFTH = {}
 _MULTIPLIER_PRODUCT = {}
 
 
 def _powers(model):
-    if model not in _FACE_CUBE:
-        forms = multiplier_forms(model)
-        if model == "x5":
-            _FACE_CUBE[model] = -(forms["face"] ** 3)
-            _VERTEX_FIFTH[model] = forms["vertex"] ** 5
-        else:
-            _FACE_CUBE[model] = forms["face"] ** 3 * Fraction(64)
-            _VERTEX_FIFTH[model] = forms["vertex"] ** 5
-    return _FACE_CUBE[model], _VERTEX_FIFTH[model]
+    """The (top, bottom) pair whose fiber factors are top - lam*bottom."""
+    if model == "x5":
+        return fiber_pair()
+    if model == "x2":
+        return conjugated_fiber_pair()
+    raise ValueError(f"unknown model {model!r}")
 
 
 def _multiplier_product(model, multipliers):
@@ -149,6 +148,17 @@ def _parity_support(f):
     return 1 if has_odd else 0
 
 
+def _even_coefficients(f):
+    """b with f(x) = sum b_j x^(2j), after stripping one x from an odd f.
+
+    A polynomial that is neither even nor odd raises NotEven.
+    """
+    par = _parity_support(f)
+    if par is None:
+        raise NotEven("polynomial mixes parities")
+    return list(f.coeffs[par::2])
+
+
 def even_model(curve):
     """Coefficients b with f(x) = sum b_j x^(2j), after stripping one x.
 
@@ -158,15 +168,81 @@ def even_model(curve):
     if curve.model != "x2":
         raise NotEven("only the even-conjugated model has an even form",
                       model=curve.model)
-    f = curve.f
-    par = _parity_support(f)
-    if par is None:
-        raise NotEven("polynomial mixes parities")
-    if par == 1:
-        f = Poly(f.coeffs[1:])
-        if _parity_support(f) not in (0,):
-            raise NotEven("odd part is not x times an even polynomial")
-    return [f.coeff(2 * j) for j in range(f.degree // 2 + 1)]
+    return _even_coefficients(curve.f)
+
+
+def symmetric_from_dihedral(u, delta):
+    """Elementary symmetric functions of the branch values, from u alone.
+
+    The even model is M(t) * prod_j (A(t) - lam_j B(t)) in t = x^2, so its
+    coefficients are linear in the unknowns s_m = e_m(lam).  Normal-form
+    coefficients obey a geometric-ratio symmetry whose unit, together with
+    the normalization root, collapses into one extra unknown w; the
+    quantities mu_k = u_(d-2k) / (2 (u_(d-1)/2)^k) then satisfy the
+    bilinear relations w mu_k b_(2k+2) = mu_(k+1) b_(2k), linear in the
+    doubled vector (1, s, w, w s).  A one-dimensional nullspace plus a
+    forward re-check of every u_i pins the answer.
+    """
+    d = u.d
+    if delta < 1:
+        raise ValueError("dimension must be at least one")
+    # d - 30*delta is the t-degree of the case's multiplier product: half
+    # the x-degree, which is odd (x times even) when the edge form is in it
+    offset = d - 30 * delta
+    forms = multiplier_forms("x2")
+    shapes = [names for _, _, names in _CASES.values()
+              if sum(forms[n].degree for n in names) // 2 == offset]
+    if not shapes:
+        raise ValueError("invariant vector shape matches no family")
+    mult, top, bottom = (Poly(_even_coefficients(p)) for p in (
+        _multiplier_product("x2", shapes[0]), *_powers("x2")))
+    cols = []
+    for m in range(delta + 1):
+        pol = mult * top ** (delta - m) * bottom ** m
+        vec = [pol.coeff(j) for j in range(d + 1)]
+        if m % 2:
+            vec = [-c for c in vec]
+        cols.append(vec)
+
+    half = u.u(d - 1) * Fraction(1, 2)
+    if half == 0:
+        raise SingularSystem("u_(d-1) vanishes, recovery degenerate")
+    mus = [Fraction(1)]
+    hk = 1
+    half_inv = _inv(half)
+    for k in range(1, (d - 2) // 2 + 1):
+        hk = hk * half_inv
+        mus.append(u.u(d - 2 * k) * Fraction(1, 2) * hk)
+
+    width = 2 * (delta + 1)
+    rows = []
+    for k in range((d - 2) // 2):
+        row = [0] * width
+        for m in range(delta + 1):
+            row[m] = -(mus[k + 1] * cols[m][2 * k])
+            row[delta + 1 + m] = mus[k] * cols[m][2 * k + 2]
+        rows.append(row)
+    basis = nullspace(rows, width)
+    if len(basis) != 1:
+        raise SingularSystem("recovery system rank is off",
+                             dimension=len(basis))
+    v = basis[0]
+    if v[0] == 0:
+        raise SingularSystem("recovery system degenerates in the "
+                             "leading slot")
+    inv = _inv(v[0])
+    s = tuple(v[m] * inv for m in range(1, delta + 1))
+    w = v[delta + 1] * inv
+    for m in range(1, delta + 1):
+        if v[delta + 1 + m] * inv != w * s[m - 1]:
+            raise SingularSystem("recovery system is internally "
+                                 "inconsistent")
+    rebuilt = [sum(cols[m][j] * (1 if m == 0 else s[m - 1])
+                   for m in range(delta + 1)) for j in range(d + 1)]
+    if dihedral_invariants(rebuilt).values != u.values:
+        raise SingularSystem("recovered parameters fail to reproduce the "
+                             "invariants")
+    return tuple(_demote(x) for x in s)
 
 
 def models_equivalent(plain, even):

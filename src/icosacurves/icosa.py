@@ -7,6 +7,7 @@ appear as fixed polynomials whose combination gives the degree-60 invariant
 map of the projective line.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -30,6 +31,7 @@ from .polyring import (
     Poly,
     RationalFunction,
     clear_denominators,
+    compose_rational,
     interpolate,
     nullspace,
 )
@@ -188,103 +190,47 @@ def edge_form():
     return load_fixtures().orbit_forms["edge"]
 
 
+@functools.cache
+def fiber_pair():
+    """(top, bottom) = (-face^3, vertex^5).
+
+    The invariant map is top/bottom, so the fiber over lam is cut out by
+    top - lam*bottom.
+    """
+    return -(face_form() ** 3), vertex_form() ** 5
+
+
 def syzygy_check():
     """The edge form squared equals faces cubed plus 1728 vertices fifth."""
-    r, s, t = face_form(), vertex_form(), edge_form()
-    if t * t != r ** 3 + s ** 5 * 1728:
+    top, bottom = fiber_pair()
+    t = edge_form()
+    if t * t != bottom * 1728 - top:
         raise IdentityFailed("orbit form syzygy does not hold")
 
 
 def invariant_map():
     """The degree-60 map with value 0 on faces and a pole on vertices."""
-    r, s = face_form(), vertex_form()
-    return RationalFunction(-(r ** 3), s ** 5)
+    return RationalFunction(*fiber_pair())
 
 
 def invariant_map_shifted():
     """invariant_map - 1728, expressed through the edge form."""
-    s, t = vertex_form(), edge_form()
-    return RationalFunction(-(t * t), s ** 5)
+    t = edge_form()
+    return RationalFunction(-(t * t), fiber_pair()[1])
 
 
 # ----------------------------------------------------------------------------
 # invariance of a rational function under the group
 # ----------------------------------------------------------------------------
 
-def _joint_small_field(values):
-    """Smallest cyclotomic order among 1, 4, 5, 60 holding every value."""
-    amb = [to_ambient(v) for v in values]
-    for n in (1, 4, 5, 60):
-        subs = [to_subfield(x, n) for x in amb]
-        if all(s is not None for s in subs):
-            return n, subs
-    raise ValueError("values escape the ambient field")  # unreachable
-
-
 def orbit_invariance_check(func, group):
     """Exact check that func(g(x)) == func(x) for every g in the group.
 
     Invariance under the two generators extends to the whole group, so only
-    those are tested.  Each check evaluates the cross-multiplied difference
-    at more points than its degree bound, which turns sampling into a proof.
+    those are tested, each by exact composition.
     """
-    num, den = func.num, func.den
-    m = max(num.degree, den.degree)
-    gens = group.generators
-    for g in gens:
-        entries = [g.a, g.b, g.c, g.d]
-        n, subs = _joint_small_field(
-            entries + [to_ambient(c) for c in num.coeffs]
-            + [to_ambient(c) for c in den.coeffs])
-        ops = IntVectorOps(n)
-        # denominators cleared jointly; the common scalar is irrelevant here
-        ints, _ = clear_denominators([c for s in subs for c in s.coeffs])
-        k = ops.degree
-        vecs = [tuple(ints[i:i + k]) for i in range(0, len(ints), k)]
-        ga, gb, gc, gd = vecs[: 4]
-        ncoef = vecs[4: 4 + len(num.coeffs)]
-        dcoef = vecs[4 + len(num.coeffs):]
-        npoints = 2 * m + 1
-        x = 0
-        checked = 0
-        while checked < npoints:
-            xv = x
-            x = -x if x > 0 else -x + 1
-            u = ops.add(ops.scale(ga, xv), gb)   # a*x + b
-            v = ops.add(ops.scale(gc, xv), gd)   # c*x + d
-            upow = [ops.one()]
-            vpow = [ops.one()]
-            for _ in range(m):
-                upow.append(ops.mul(upow[-1], u))
-                vpow.append(ops.mul(vpow[-1], v))
-
-            def homog(coefs):
-                acc = ops.zero()
-                for i, cvec in enumerate(coefs):
-                    if any(cvec):
-                        term = ops.mul(cvec, ops.mul(upow[i], vpow[m - i]))
-                        acc = ops.add(acc, term)
-                return acc
-
-            tn = homog(ncoef)
-            td = homog(dcoef)
-            fn = homog_scalar(ncoef, xv, ops)
-            fd = homog_scalar(dcoef, xv, ops)
-            # func(g(x)) == func(x)  <=>  tn*fd == td*fn pointwise
-            lhs = ops.mul(tn, fd)
-            rhs = ops.mul(td, fn)
-            if lhs != rhs:
-                return False
-            checked += 1
-    return True
-
-
-def homog_scalar(coefs, xv, ops):
-    """Plain evaluation of an integer-vector polynomial at an integer."""
-    acc = ops.zero()
-    for cvec in reversed(coefs):
-        acc = ops.add(ops.scale(acc, xv), cvec)
-    return acc
+    return all(compose_rational(func, g.as_rational_function()) == func
+               for g in group.generators)
 
 
 # ----------------------------------------------------------------------------
@@ -360,13 +306,10 @@ class _OrbitProductSampler:
         for g in group.elements:
             sub = getattr(g, "sub5", None)
             if sub is None:
-                n, subs = _joint_small_field([g.a, g.b, g.c, g.d])
-                if n not in (1, 5):
+                sub = tuple(to_subfield(e, 5) for e in (g.a, g.b, g.c, g.d))
+                if any(e is None for e in sub):
                     raise InconsistentData(
                         "group entries escape the small field")
-                f5 = cyclotomic_field(5)
-                sub = tuple(f5.element(s.coeffs if n == 5 else [
-                    s.rational_value()]) for s in subs)
             mats.append(_first_entry_one(sub))
         lams = [d for a, b, c, d in mats if not b and not c]
         m = len(lams)

@@ -5,7 +5,8 @@ invariants I2, I4, I6, I6star of the defining polynomial together with
 their absolute ratios, which are what cut out the one-parameter loci.
 The even-model coefficients give the dihedral invariants u_i, computed
 by a root-free formula, and from those we detect the full automorphism
-group and recover the symmetric functions of the branch values.
+group.  This module imports no other part of the package but errors,
+exactfield and polyring.
 """
 
 import math
@@ -14,21 +15,14 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .decomp import (
-    conjugated_edge_form,
-    conjugated_face_form,
-    conjugated_vertex_form,
-)
 from .errors import (
     DegenerateLeadingOrTrailing,
     DegreeTooSmall,
     NormalizationUndefined,
     OrderTooLarge,
-    SingularSystem,
 )
-from .exactfield import QuadraticElement
-from .families import _CASES
-from .polyring import Poly, _inv, clear_denominators, nullspace
+from .exactfield import EPSILON3, QuadraticElement, to_ambient
+from .polyring import Poly, _inv, clear_denominators, homogenize
 
 
 class BinaryForm:
@@ -79,20 +73,10 @@ class BinaryForm:
 
     def substitute(self, a, b, c, d):
         """The form at (aX + bY, cX + dY)."""
-        first = BinaryForm(1, (a, b))
-        second = BinaryForm(1, (c, d))
-        n = self.degree
-        fp = [BinaryForm(0, (1,))]
-        sp = [BinaryForm(0, (1,))]
-        for _ in range(n):
-            fp.append(fp[-1] * first)
-            sp.append(sp[-1] * second)
-        acc = BinaryForm(n, [0] * (n + 1))
-        for i, coeff in enumerate(self.coeffs):
-            if coeff == 0:
-                continue
-            acc = acc + (fp[n - i] * sp[i]).scale(coeff)
-        return acc
+        # sum_j p_j X^j Y^(n-j) at x = X/Y: sum_j p_j (ax+b)^j (cx+d)^(n-j)
+        [p] = homogenize([self.to_poly()], Poly([b, a]), Poly([d, c]),
+                         self.degree)
+        return BinaryForm.from_poly(p, self.degree)
 
     def constant_value(self):
         if self.degree != 0:
@@ -335,119 +319,6 @@ def check_group_relation(u, genus=None):
     return "neither"
 
 
-_EVEN_CACHE = {}
-
-
-def _even_part(poly):
-    cs = poly.coeffs
-    if any(cs[k] for k in range(1, len(cs), 2)):
-        raise ValueError("polynomial is not even")
-    return Poly(cs[0::2])
-
-
-def _even_multiplier(name):
-    if name not in _EVEN_CACHE:
-        if name == "face":
-            _EVEN_CACHE[name] = _even_part(conjugated_face_form())
-        elif name == "vertex":
-            _EVEN_CACHE[name] = _even_part(conjugated_vertex_form())
-        else:
-            # edge form is x times an even polynomial
-            edge = conjugated_edge_form()
-            _EVEN_CACHE[name] = _even_part(Poly(edge.coeffs[1:]))
-    return _EVEN_CACHE[name]
-
-
-def even_multiplier_product(names):
-    """The product of the even multipliers of one family case, in t = x^2."""
-    mult = Poly([1])
-    for name in sorted(names):
-        mult = mult * _even_multiplier(name)
-    return mult
-
-
-def _fiber_pair():
-    """Even parts of the two degree-60 building blocks, as t-polynomials."""
-    if "pair" not in _EVEN_CACHE:
-        face = _even_multiplier("face")
-        vertex = _even_multiplier("vertex")
-        _EVEN_CACHE["pair"] = (Poly([64]) * face ** 3, vertex ** 5)
-    return _EVEN_CACHE["pair"]
-
-
-def symmetric_from_dihedral(u, delta):
-    """Elementary symmetric functions of the branch values, from u alone.
-
-    The even model is M(t) * prod_j (A(t) - lam_j B(t)) in t = x^2, so its
-    coefficients are linear in the unknowns s_m = e_m(lam).  Normal-form
-    coefficients obey a geometric-ratio symmetry whose unit, together with
-    the normalization root, collapses into one extra unknown w; the
-    quantities mu_k = u_(d-2k) / (2 (u_(d-1)/2)^k) then satisfy the
-    bilinear relations w mu_k b_(2k+2) = mu_(k+1) b_(2k), linear in the
-    doubled vector (1, s, w, w s).  A one-dimensional nullspace plus a
-    forward re-check of every u_i pins the answer.
-    """
-    d = u.d
-    if delta < 1:
-        raise ValueError("dimension must be at least one")
-    # d - 30*delta is the t-degree of the case's multiplier product; the
-    # even vertex, face and edge multipliers have t-degrees 6, 10 and 14
-    offset = d - 30 * delta
-    shapes = [names for _, _, names in _CASES.values()
-              if sum(_even_multiplier(n).degree for n in names) == offset]
-    if not shapes:
-        raise ValueError("invariant vector shape matches no family")
-    mult = even_multiplier_product(shapes[0])
-    top, bottom = _fiber_pair()
-    cols = []
-    for m in range(delta + 1):
-        pol = mult * top ** (delta - m) * bottom ** m
-        vec = [pol.coeff(j) for j in range(d + 1)]
-        if m % 2:
-            vec = [-c for c in vec]
-        cols.append(vec)
-
-    half = u.u(d - 1) * Fraction(1, 2)
-    if half == 0:
-        raise SingularSystem("u_(d-1) vanishes, recovery degenerate")
-    mus = [Fraction(1)]
-    hk = 1
-    half_inv = _inv(half)
-    for k in range(1, (d - 2) // 2 + 1):
-        hk = hk * half_inv
-        mus.append(u.u(d - 2 * k) * Fraction(1, 2) * hk)
-
-    width = 2 * (delta + 1)
-    rows = []
-    for k in range((d - 2) // 2):
-        row = [0] * width
-        for m in range(delta + 1):
-            row[m] = -(mus[k + 1] * cols[m][2 * k])
-            row[delta + 1 + m] = mus[k] * cols[m][2 * k + 2]
-        rows.append(row)
-    basis = nullspace(rows, width)
-    if len(basis) != 1:
-        raise SingularSystem("recovery system rank is off",
-                             dimension=len(basis))
-    v = basis[0]
-    if v[0] == 0:
-        raise SingularSystem("recovery system degenerates in the "
-                             "leading slot")
-    inv = _inv(v[0])
-    s = tuple(v[m] * inv for m in range(1, delta + 1))
-    w = v[delta + 1] * inv
-    for m in range(1, delta + 1):
-        if v[delta + 1 + m] * inv != w * s[m - 1]:
-            raise SingularSystem("recovery system is internally "
-                                 "inconsistent")
-    rebuilt = [sum(cols[m][j] * (1 if m == 0 else s[m - 1])
-                   for m in range(delta + 1)) for j in range(d + 1)]
-    if dihedral_invariants(rebuilt).values != u.values:
-        raise SingularSystem("recovered parameters fail to reproduce the "
-                             "invariants")
-    return tuple(_demote(x) for x in s)
-
-
 def normal_form_symmetry_report(b, unit=None):
     """Probe the coefficient symmetry a_i unit^i = a_(d-i) projectively.
 
@@ -459,8 +330,6 @@ def normal_form_symmetry_report(b, unit=None):
     the coefficients and the unit live in different quadratic subfields.
     Returns a dict with keys consistent, q, K, obstruction.
     """
-    from .exactfield import EPSILON3, to_ambient
-
     if unit is None:
         unit = EPSILON3
     b = [to_ambient(x) for x in b]

@@ -163,10 +163,7 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def compose(self, inner):
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        return homogenize([self], inner, Poly([1]), max(self.degree, 0))[0]
 
     def gcd(self, other):
         """Monic gcd by the Euclidean algorithm."""
@@ -600,6 +597,8 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, k):
@@ -639,12 +638,33 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
+def homogenize(polys, a, b, m):
+    """sum_i c_i a^i b^(m-i) for each polynomial sum_i c_i x^i in polys.
+
+    m bounds every degree.  Each sum is built by the Horner steps
+    acc = acc*a + c_i*b^(m-i) from the top coefficient down, and the powers
+    of b are formed once for all the polynomials.
+    """
+    b_pows = [Poly([1])]
+    for _ in range(m):
+        b_pows.append(b_pows[-1] * b)
+    out = []
+    for p in polys:
+        acc = Poly()
+        for i in range(m, -1, -1):
+            acc = acc * a
+            c = p.coeff(i)
+            if c:
+                acc = acc + b_pows[m - i] * c
+        out.append(acc)
+    return out
+
+
 def compose_rational(outer, inner):
     """outer(inner(x)) for rational functions, via homogenization.
 
     With inner = a/b and m the joint degree of outer, each part sum c_i x^i
-    of outer becomes sum c_i a^i b^(m-i), built by the Horner steps
-    acc = acc*a + c_i*b^(m-i) from the top coefficient down.
+    of outer becomes sum c_i a^i b^(m-i).
     """
     if not isinstance(inner, RationalFunction):
         inner = RationalFunction(inner if isinstance(inner, Poly)
@@ -652,23 +672,8 @@ def compose_rational(outer, inner):
     if not isinstance(outer, RationalFunction):
         outer = RationalFunction(outer if isinstance(outer, Poly)
                                  else Poly([outer]))
-    a, b = inner.num, inner.den
     m = max(outer.num.degree, outer.den.degree, 0)
-    b_pows = [Poly([1])]
-    for _ in range(m):
-        b_pows.append(b_pows[-1] * b)
-
-    def homog(p):
-        acc = Poly()
-        for i in range(m, -1, -1):
-            acc = acc * a
-            c = p.coeff(i)
-            if c:
-                acc = acc + b_pows[m - i] * c
-        return acc
-
-    num = homog(outer.num)
-    den = homog(outer.den)
+    num, den = homogenize((outer.num, outer.den), inner.num, inner.den, m)
     if not den:
         raise ZeroPolynomial("composition collapses the denominator")
     return RationalFunction(num, den)

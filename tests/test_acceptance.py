@@ -19,6 +19,7 @@ from icosacurves.families import (
     even_model,
     lambda_factor,
     smallest_one_dimensional_genus,
+    symmetric_from_dihedral,
 )
 from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import (
@@ -33,7 +34,6 @@ from icosacurves.invariants import (
     covariant_vanishing_checks,
     dihedral_invariants,
     invariant_set,
-    symmetric_from_dihedral,
 )
 from icosacurves.loci import (
     build_locus,

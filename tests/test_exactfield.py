@@ -278,6 +278,12 @@ def test_quadratic_element_arithmetic():
         x + QuadraticElement(1, 1, 3)
 
 
+@pytest.mark.parametrize("D", [4, 9, 25])
+def test_quadratic_element_rejects_a_square_d(D):
+    with pytest.raises(ValueError, match="nonsquare"):
+        QuadraticElement(0, 1, D)
+
+
 def test_quadratic_element_matches_ambient():
     x = QuadraticElement(Fraction(1, 2), Fraction(-3, 7), 5)
     y = QuadraticElement(2, Fraction(1, 3), 5)

@@ -12,7 +12,12 @@ from icosacurves.errors import (
     SingularSystem,
 )
 from icosacurves.exactfield import EPSILON3, QuadraticElement
-from icosacurves.families import curve_equation, even_model
+from icosacurves.families import (
+    _powers,
+    curve_equation,
+    even_model,
+    symmetric_from_dihedral,
+)
 from icosacurves.fixtures import load_fixtures
 from icosacurves.invariants import (
     BinaryForm,
@@ -22,9 +27,7 @@ from icosacurves.invariants import (
     dihedral_invariants,
     invariant_set,
     normal_form_symmetry_report,
-    symmetric_from_dihedral,
     transvectant,
-    _fiber_pair,
 )
 from icosacurves.polyring import Poly, RationalFunction
 
@@ -265,8 +268,9 @@ def test_group_relation_generic_rejects():
 def test_printed_dihedral_invariants_match():
     # coefficients of the one-parameter genus-29 family, symbolically
     fx = load_fixtures()
-    top, bottom = _fiber_pair()
-    coeffs = [RationalFunction(Poly([top.coeff(j), -bottom.coeff(j)]))
+    top, bottom = _powers("x2")
+    coeffs = [RationalFunction(Poly([top.coeff(2 * j),
+                                     -bottom.coeff(2 * j)]))
               for j in range(31)]
     u = dihedral_invariants(coeffs)
     assert u.u(1) == fx.reference_dihedral_g29["u1"]

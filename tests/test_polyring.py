@@ -273,6 +273,14 @@ def test_rational_function_arith():
         one_over(F(0))
 
 
+def test_division_by_a_rational_function_needs_a_known_operand():
+    x = RationalFunction(Poly([0, F(1)]))
+    assert 2 / x == RationalFunction(Poly([F(2)]), Poly([0, F(1)]))
+    for other in ("a", QuadraticElement(1, 1, 5)):
+        with pytest.raises(TypeError):
+            other / x
+
+
 def test_compose_rational():
     # outer = x^2 / (x - 1), inner = (x+1)/(x-1)
     outer = RationalFunction(Poly([0, 0, F(1)]), Poly([F(-1), 1]))
