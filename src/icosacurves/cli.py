@@ -8,6 +8,7 @@ on stderr), 2 verification failure, 64 usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -20,14 +21,13 @@ from .decomp import (
     transported_invariant_map,
     verify_conjugated_identities,
 )
-from .errors import IcosaError, UsageError
+from .errors import IcosaError, InconsistentData, UsageError
 from .exactfield import CycloElement, QuadraticElement
 from .families import (
     classify_genus,
     curve_equation,
     even_model,
     lambda_factor,
-    smallest_one_dimensional_genus,
 )
 from .fixtures import load_fixtures
 from .icosa import (
@@ -166,8 +166,8 @@ def _check_conjugated_identity():
     verify_conjugated_identities()
     scalar = load_fixtures().conjugated_identity_scalar
     wrong = QuadraticElement(scalar.b, scalar.a, scalar.D)
-    if conjugated_edge_identity(wrong):
-        return False, "identity also accepted a wrong scalar"
+    if not conjugated_edge_identity(scalar) or conjugated_edge_identity(wrong):
+        return False, "identity does not single out the printed scalar"
     return True, (f"scalar {scalar.a}+{scalar.b}i accepted, "
                   f"swapped scalar rejected")
 
@@ -251,30 +251,43 @@ def _check_group_relations():
     return got == ("Z2xA5", "SL2_5"), f"genus 29 -> {got[0]}, genus 44 -> {got[1]}"
 
 
+def _case1_kappa(L):
+    """The constants carrying case 1's invariants to the printed ones."""
+    ref = load_fixtures().reference_absolute_g29
+    kappa = []
+    for name, computed in (("i1", L.i1_of_lambda), ("i2", L.i2_of_lambda)):
+        ratio = ref[name] / computed
+        if not ratio.is_constant():
+            raise InconsistentData("normalization ratio is not constant",
+                                   invariant=name)
+        kappa.append(ratio.num.coeff(0) / ratio.den.coeff(0))
+    return (*kappa, Fraction(1))
+
+
 def _check_locus_equation():
     L = build_locus(1)
     ref = {k: int(v) for k, v in load_fixtures().reference_locus_case1.items()}
-    ok = L.F == ref and L.kappa == (Fraction(1), Fraction(1), Fraction(1))
+    kappa = _case1_kappa(L)
+    ok = L.F == ref and kappa == (Fraction(1), Fraction(1), Fraction(1))
     return ok, (f"{len(L.F)} monomials, i2^4 coefficient {L.F.get((0, 4))}, "
-                f"kappa {tuple(str(k) for k in L.kappa)}")
+                f"kappa {tuple(str(k) for k in kappa)}")
 
 
 def _table_checks(case_no):
     fx = load_fixtures()
-    key = {"collision": "collision", "zero_locus": "zero",
-           "infinity_locus": "infinity"}
     L = build_locus(case_no)
     fibers = {fb.kind: fb for fb in singular_fibers(L)}
     out = []
     for row, kind in enumerate(FIBER_ROW_ORDER, start=1):
         fb = fibers[kind]
-        ref_q = fx.singular_quadratics[case_no][key[kind]]
+        key = kind.split("_")[0]    # the table's row name
+        ref_q = fx.singular_quadratics[case_no][key]
         ok_q = [int(c) for c in fb.q.coeffs] == [ref_q.coeff(i)
                                                  for i in range(3)]
         out.append((f"table2.case{case_no}.row{row}", ok_q,
                     f"{kind} quadratic "
                     + ("matches" if ok_q else "differs")))
-        ref_d = fx.moduli_fields[case_no][key[kind]]
+        ref_d = fx.moduli_fields[case_no][key]
         ok_d = fb.d_table == ref_d and field_of_moduli_at(fb, L) == ref_d
         out.append((f"table3.case{case_no}.row{row}", ok_d,
                     f"{kind} field datum d={fb.d_table}"))
@@ -294,6 +307,8 @@ def _check_model_round_trip():
 
 
 def _suite_checks(suite):
+    """(id, check) pairs; a check returns (ok, details) or, for a table,
+    its rows as (id, ok, details), and an error fails the pair's id."""
     simple = {
         "icosa": [
             ("group.structure", _check_group_structure),
@@ -318,35 +333,23 @@ def _suite_checks(suite):
             ("model.round-trip", _check_model_round_trip),
         ],
     }
+    simple["loci"] += [(f"table2.case{n}.row1",
+                        functools.partial(_table_checks, n))
+                       for n in range(1, 9)]
     names = [suite] if suite != "all" else list(simple)
-    checks = []
-    for name in names:
-        checks.extend(simple[name])
-        if name == "loci":
-            checks.append(("tables.case1", None))
-    return checks
+    return [check for name in names for check in simple[name]]
 
 
 def _run_verify(suite, fmt):
     checks = []
     for cid, fn in _suite_checks(suite):
-        if fn is None:
-            # table rows expand to one check each
-            try:
-                rows = _table_checks(1)
-            except IcosaError as e:
-                rows = [("table2.case1.row1", False,
-                         f"{type(e).__name__}: {e.message}")]
-            for rid, ok, details in rows:
-                checks.append({"id": rid, "status": "pass" if ok else "fail",
-                               "details": details})
-            continue
         try:
-            ok, details = fn()
+            out = fn()
+            rows = out if isinstance(out, list) else [(cid, *out)]
         except IcosaError as e:
-            ok, details = False, f"{type(e).__name__}: {e.message}"
-        checks.append({"id": cid, "status": "pass" if ok else "fail",
-                       "details": details})
+            rows = [(cid, False, f"{type(e).__name__}: {e.message}")]
+        checks.extend({"id": rid, "status": "pass" if ok else "fail",
+                       "details": details} for rid, ok, details in rows)
     return _emit_report({"suite": suite, "checks": checks}, fmt)
 
 
@@ -426,8 +429,8 @@ def _cmd_locus(args):
     if args.emit == "F":
         terms = [[j, k, str(L.F[(j, k)])] for j, k in sorted(L.F)]
         doc = {"case": case, "genus": L.genus,
-               "kappa": None if L.kappa is None
-               else [str(k) for k in L.kappa],
+               "kappa": None if case != 1
+               else [str(k) for k in _case1_kappa(L)],
                "plane_model": {"variables": ["i1", "i2"], "terms": terms},
                "i1_of_lambda": _enc_rational_function(L.i1_of_lambda,
                                                       "lambda"),
@@ -531,25 +534,30 @@ def _fraction_list(text):
 def _build_parser():
     top = _Parser(prog="icosacurves",
                   description="exact icosahedral curve computations")
-    top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface stability; execution is "
-                          "sequential either way")
+    # the global flags also follow the subcommand, where an absent one must
+    # leave the value given before it
+    shared = _Parser(add_help=False)
+    for p, fmt, threads in ((top, "json", 1), (shared, argparse.SUPPRESS,
+                                               argparse.SUPPRESS)):
+        p.add_argument("--format", choices=("json", "text"), default=fmt)
+        p.add_argument("--threads", type=int, default=threads,
+                       help="accepted for interface stability; execution is "
+                            "sequential either way")
     sub = top.add_subparsers(dest="command")
 
-    p = sub.add_parser("icosa", parents=[], add_help=True)
+    p = sub.add_parser("icosa", parents=[shared])
     p.add_argument("action", choices=("group", "phi", "verify"))
 
-    p = sub.add_parser("decomp")
+    p = sub.add_parser("decomp", parents=[shared])
     p.add_argument("action", choices=("phi1", "check"))
     p.add_argument("--inner", choices=("x5", "x2", "x3"))
 
-    p = sub.add_parser("curve")
+    p = sub.add_parser("curve", parents=[shared])
     p.add_argument("--genus", type=int)
     p.add_argument("--lambda", dest="lam", type=_fraction_list)
     p.add_argument("--model", choices=("x5", "x2"))
 
-    p = sub.add_parser("invariants")
+    p = sub.add_parser("invariants", parents=[shared])
     p.add_argument("--genus", type=int)
     p.add_argument("--lambda", dest="lam", type=_fraction_list)
     p.add_argument("--model", choices=("x5", "x2"))
@@ -560,17 +568,17 @@ def _build_parser():
                      const="dihedral")
     grp.add_argument("--all", dest="mode", action="store_const", const="all")
 
-    p = sub.add_parser("locus")
+    p = sub.add_parser("locus", parents=[shared])
     p.add_argument("--case", type=int, choices=range(1, 9))
     p.add_argument("--emit", choices=("F", "fibers", "moduli"), default="F")
 
-    p = sub.add_parser("model")
+    p = sub.add_parser("model", parents=[shared])
     p.add_argument("--genus", type=int)
     p.add_argument("--lambda", dest="lam", type=_fraction_list)
     p.add_argument("--case", type=int, choices=range(1, 9))
     p.add_argument("--fiber", type=int)
 
-    p = sub.add_parser("verify")
+    p = sub.add_parser("verify", parents=[shared])
     p.add_argument("--suite", choices=("icosa", "decomp", "families",
                                        "invariants", "loci", "all"))
     return top

@@ -10,6 +10,7 @@ composition.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -19,12 +20,14 @@ from .errors import (
     IdentityFailed,
 )
 from .exactfield import I_UNIT, QuadraticElement
-from .fixtures import load_fixtures
 from .icosa import (
     MoebiusMap,
     build_icosahedral_group,
+    edge_form,
+    face_form,
     invariant_map,
     normalize_element_to_scaling,
+    vertex_form,
 )
 from .polyring import Poly, RationalFunction, compose_rational, nullspace
 
@@ -36,16 +39,18 @@ def conjugation_to_even():
     return MoebiusMap(I_UNIT, 1, -I_UNIT, 1)
 
 
-_CONJ_CACHE = {}
-
-
+@functools.cache
 def _conjugated_form(kind):
-    if kind not in _CONJ_CACHE:
-        prod = Poly([1])
-        for factor in load_fixtures().conjugated_factors[kind]:
-            prod = prod * factor
-        _CONJ_CACHE[kind] = prod
-    return _CONJ_CACHE[kind]
+    """An orbit form carried to the even side: the one Gaussian multiple of
+    its transport whose leading coefficient is a positive rational and whose
+    coefficients are Gaussian integers, their parts of gcd 1."""
+    form, m = {"face": (face_form, 20), "vertex": (vertex_form, 12),
+               "edge": (edge_form, 30)}[kind]
+    moved = gaussian_transport(form(), m)
+    moved = moved * moved.leading().conjugate()
+    parts = [Fraction(q) for c in moved.coeffs for q in (c.a, c.b)]
+    return moved * Fraction(math.lcm(*(q.denominator for q in parts)),
+                            math.gcd(*(q.numerator for q in parts)))
 
 
 def conjugated_face_form():
@@ -130,13 +135,14 @@ def transported_matches_factored():
 
 
 def conjugated_edge_identity(scalar=None):
-    """Whether 64*face^3 - 1728*vertex^5 equals scalar * edge^2 exactly."""
-    if scalar is None:
-        scalar = load_fixtures().conjugated_identity_scalar
+    """Whether 64*face^3 - 1728*vertex^5 equals scalar * edge^2 exactly;
+    the default scalar is the ratio of the leading coefficients."""
     top, bottom = conjugated_fiber_pair()
     lhs = top - bottom * Fraction(1728)
-    rhs = conjugated_edge_form() ** 2 * scalar
-    return lhs == rhs
+    edge_sq = conjugated_edge_form() ** 2
+    if scalar is None:
+        scalar = lhs.leading() / edge_sq.leading()
+    return lhs == edge_sq * scalar
 
 
 def verify_conjugated_identities():

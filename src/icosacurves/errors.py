@@ -120,5 +120,9 @@ class NotOnLocus(IcosaError):
     """Invariant point does not lie on the locus."""
 
 
+class FactoringExhausted(IcosaError):
+    """Integer factoring or a prime certificate ran out of its effort bound."""
+
+
 class UsageError(IcosaError):
     """Command-line usage error (maps to exit status 64)."""

@@ -16,7 +16,7 @@ the bottom to integer perfect-square tests.  No floating point anywhere.
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
+from .errors import DivisionByZero, FactoringExhausted, NotInQuadraticSubfield
 from .polyring import Poly, clear_denominators, inverse_mod, rref, solve_linear
 
 _ZERO = Fraction(0)
@@ -755,18 +755,20 @@ def embed_subfield(x):
 # integer factor utilities
 # ----------------------------------------------------------------------------
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_12, the least strong pseudoprime to every base in _SMALL_PRIMES: below
+# it the strong test over those bases is a proof of primality
+_STRONG_TEST_BOUND = 318665857834031151167461
+
+
 def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    """The strong test of n to every base in _SMALL_PRIMES."""
+    if n < 2 or any(n % p == 0 for p in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -779,48 +781,84 @@ def _is_probable_prime(n):
     return True
 
 
-def _brent_rho(n, max_iter):
-    """One Brent-cycle factor attempt; returns a nontrivial factor or None."""
+def _is_prime(n, max_b1):
+    """Whether n is a proven prime: by the strong test below psi_12, above
+    it by a Pocklington certificate on the factorisation of n - 1
+    (Brillhart, Lehmer and Selfridge 1975).  False means composite or
+    unproven."""
+    if not _is_probable_prime(n):
+        return False
+    if n < _STRONG_TEST_BOUND:
+        return True
+    # a prime p | n is 1 mod q^e for each q^e || n - 1 with a base a that
+    # has a^(n-1) = 1 and gcd(a^((n-1)/q) - 1, n) = 1, so p > sqrt(n)
+    for q in _factor_bounded(n - 1, max_b1):
+        a = next((a for a in range(2, 256)
+                  if math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1), None)
+        if a is None or pow(a, n - 1, n) != 1:
+            return False
+    return True
+
+
+def _prime_power_product(bound):
+    """The product of the largest powers at most bound of the primes."""
+    sieve = bytearray([1]) * (bound + 1)
+    k = 1
+    for p in range(2, bound + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+            q = p
+            while q * p <= bound:
+                q *= p
+            k *= q
+    return k
+
+
+def _ecm_factor(n, max_b1):
+    """A proper factor of the composite n by stage 1 of Lenstra's elliptic
+    curve method, or None: Montgomery curves in Suyama's parametrisation,
+    multiplied by the x-only ladder (Montgomery 1987); B1 doubles from 1000
+    while it is at most max_b1, with eight curves seeded by n at each."""
     import random
 
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
-    for _ in range(8):
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        count = 0
-        while g == 1 and count < max_iter:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-                count += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if 1 < g < n:
-            return g
+    def double(x, z):
+        s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+        return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+    rng = random.Random(n)
+    b1 = 1000
+    while b1 <= max_b1:
+        bits = bin(_prime_power_product(b1))[3:]
+        for _ in range(8):
+            sigma = rng.randrange(6, n - 1)
+            u = (sigma * sigma - 5) % n
+            v = 4 * sigma % n
+            den = 16 * pow(u, 3, n) * v % n
+            g = math.gcd(den, n)
+            if g == 1:
+                # (A + 2)/4 of By^2 = x^3 + Ax^2 + x, base point (u^3 : v^3)
+                a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+                x0, z0 = pow(u, 3, n), pow(v, 3, n)
+                (x1, z1), (x2, z2) = (x0, z0), double(x0, z0)
+                for bit in bits:
+                    # keep R2 - R1 = (x0 : z0): R1 + R2, and twice one of them
+                    p = (x1 - z1) * (x2 + z2)
+                    m = (x1 + z1) * (x2 - z2)
+                    added = z0 * (p + m) ** 2 % n, x0 * (p - m) ** 2 % n
+                    if bit == "1":
+                        (x1, z1), (x2, z2) = added, double(x2, z2)
+                    else:
+                        (x1, z1), (x2, z2) = double(x1, z1), added
+                g = math.gcd(z1, n)
+            if 1 < g < n:
+                return g
+        b1 *= 2
     return None
 
 
-def _factor_bounded(n, max_iter):
-    """Factor n into primes; raises IcosaError when effort runs out."""
-    if n == 1:
-        return {}
+def _factor_bounded(n, max_b1):
+    """The factorisation of n >= 1 into proven primes; raises
+    FactoringExhausted when the effort bound max_b1 does not suffice."""
     factors = {}
     for p in range(2, 100000):
         while n % p == 0:
@@ -828,37 +866,33 @@ def _factor_bounded(n, max_iter):
             n //= p
         if p * p > n:
             break
-    if n == 1:
-        return factors
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
+        if _is_prime(m, max_b1):
             factors[m] = factors.get(m, 0) + 1
             continue
         r = math.isqrt(m)
         if r * r == m:
             stack.extend([r, r])
             continue
-        g = _brent_rho(m, max_iter)
+        g = _ecm_factor(m, max_b1)
         if g is None:
-            raise IcosaError("integer factorisation effort exhausted",
-                             remaining=m)
+            raise FactoringExhausted(
+                "no factor or prime certificate within the effort bound",
+                remaining=m, max_b1=max_b1)
         stack.extend([g, m // g])
     return factors
 
 
-def squarefree_part(n, max_iter=2_000_000):
-    """The squarefree integer d with n = d * (square); sign preserved."""
+def squarefree_part(n, max_b1=50_000):
+    """The squarefree integer d with n = d * (square); sign preserved.
+
+    |n| is factored by trial division and elliptic-curve stage 1 with B1 up
+    to max_b1, the one effort bound, and every prime factor is proven."""
     n = int(n)
     if n == 0:
         raise ValueError("squarefree part of zero")
-    sign = -1 if n < 0 else 1
-    factors = _factor_bounded(abs(n), max_iter)
-    d = 1
-    for p, e in factors.items():
-        if e % 2:
-            d *= p
-    return sign * d
+    factors = _factor_bounded(abs(n), max_b1)
+    d = math.prod(p for p, e in factors.items() if e % 2)
+    return -d if n < 0 else d

@@ -4,16 +4,13 @@ The JSON file holds exact integers and rationals as strings; this module
 parses them once into polynomials and field elements.
 """
 
+import functools
 import json
 import os
 from fractions import Fraction
 
 from .exactfield import QuadraticElement
 from .polyring import Poly, RationalFunction
-
-
-def fixtures_path():
-    return os.path.join(os.path.dirname(__file__), "fixtures.json")
 
 
 def _frac_poly(items):
@@ -80,12 +77,7 @@ class Fixtures:
         }
 
 
-_CACHED = {}
-
-
+@functools.cache
 def load_fixtures():
-    path = fixtures_path()
-    if path not in _CACHED:
-        with open(path) as fh:
-            _CACHED[path] = Fixtures(json.load(fh))
-    return _CACHED[path]
+    with open(os.path.join(os.path.dirname(__file__), "fixtures.json")) as fh:
+        return Fixtures(json.load(fh))

@@ -19,14 +19,13 @@ from .errors import (
     ParabolicElement,
 )
 from .exactfield import (
-    AlgebraicNumber,
     IntVectorOps,
     cyclo_sqrt,
     cyclotomic_field,
     to_ambient,
     to_subfield,
 )
-from .fixtures import load_fixtures
+from .invariants import BinaryForm, transvectant
 from .polyring import (
     Poly,
     RationalFunction,
@@ -134,60 +133,82 @@ class IcosahedralGroup:
         return profile
 
 
-_GROUP = None
-
-
-def build_icosahedral_group():
-    """Breadth-first closure of the two defining generators; cached."""
-    global _GROUP
-    if _GROUP is not None:
-        return _GROUP
+@functools.cache
+def _generators():
+    """The order-2 and order-5 generators over the 5th cyclotomic field."""
     f5 = cyclotomic_field(5)
     w = f5.element([-1, 0, -1, -1])          # the golden-section element
-    one = f5.one()
-    z2 = f5.zeta(2)
-    gen_a = (w, one, one, -w)                # order 2
-    gen_b = (z2, f5.zero(), f5.zero(), one)  # order 5
-    gens = [_first_entry_one(gen_a), _first_entry_one(gen_b)]
+    one, zero = f5.one(), f5.zero()
+    return (_first_entry_one((w, one, one, -w)),                # order 2
+            _first_entry_one((f5.zeta(2), zero, zero, one)))    # order 5
 
-    def mat_mul(m, n):
-        return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
-                m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
 
-    identity = _first_entry_one((one, f5.zero(), f5.zero(), one))
-    seen = {identity}
-    frontier = [identity]
+def _closure(start, act):
+    """Breadth-first closure of start under act(g, .) for both generators,
+    each image scaled so its first nonzero entry is 1."""
+    seen, frontier = {start}, {start}
     while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = _first_entry_one(mat_mul(g, m))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    elements = []
-    for mat in sorted(seen, key=lambda m: tuple(e.coeffs for e in m)):
+        frontier = {_first_entry_one(act(g, m))
+                    for m in frontier for g in _generators()} - seen
+        seen |= frontier
+    return seen
+
+
+@functools.cache
+def build_icosahedral_group():
+    """Breadth-first closure of the two defining generators; cached."""
+    f5 = cyclotomic_field(5)
+    one, zero = f5.one(), f5.zero()
+    seen = _closure((one, zero, zero, one), lambda g, m: (
+        g[0] * m[0] + g[1] * m[2], g[0] * m[1] + g[1] * m[3],
+        g[2] * m[0] + g[3] * m[2], g[2] * m[1] + g[3] * m[3]))
+
+    def as_map(mat):
         mm = MoebiusMap(*[to_ambient(e) for e in mat])
         mm.sub5 = mat
-        elements.append(mm)
-    gen_maps = [MoebiusMap(*[to_ambient(e) for e in g]) for g in gens]
-    for gm, g in zip(gen_maps, gens):
-        gm.sub5 = g
-    _GROUP = IcosahedralGroup(elements, tuple(gen_maps))
-    return _GROUP
+        return mm
+
+    elements = sorted(seen, key=lambda m: tuple(e.coeffs for e in m))
+    return IcosahedralGroup([as_map(m) for m in elements],
+                            tuple(as_map(g) for g in _generators()))
 
 
-def face_form():
-    return load_fixtures().orbit_forms["face"]
+# The orbit forms (Klein, Lectures on the Icosahedron, 1884): the vertex
+# form from its roots, the face form its Hessian and the edge form the
+# Jacobian of the two, each scaled to constant term 1
 
 
+@functools.cache
 def vertex_form():
-    return load_fixtures().orbit_forms["vertex"]
+    """x^11 + 11x^6 - x: the monic product of x - p over the eleven finite
+    points p = u/v of the orbit of infinity, the vertices."""
+    f5 = cyclotomic_field(5)
+    prod = Poly([f5.one()])
+    for u, v in _closure((f5.one(), f5.zero()), lambda g, p: (
+            g[0] * p[0] + g[1] * p[1], g[2] * p[0] + g[3] * p[1])):
+        if v:
+            prod = prod * Poly([-u * v.inverse(), f5.one()])
+    return Poly([c.rational_value() if c else Fraction(0)
+                 for c in prod.coeffs])
 
 
+def _scaled_transvectant(f, h, r):
+    poly = transvectant(f, h, r).to_poly()
+    return poly * (1 / poly.coeff(0))
+
+
+@functools.cache
+def face_form():
+    """The Hessian (V, V)_2 of the vertex form V: the face centers."""
+    v = BinaryForm.from_poly(vertex_form(), 12)
+    return _scaled_transvectant(v, v, 2)
+
+
+@functools.cache
 def edge_form():
-    return load_fixtures().orbit_forms["edge"]
+    """The Jacobian (V, H)_1 of V and its Hessian: the edge midpoints."""
+    return _scaled_transvectant(BinaryForm.from_poly(vertex_form(), 12),
+                                BinaryForm.from_poly(face_form(), 20), 1)
 
 
 @functools.cache

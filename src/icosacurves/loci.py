@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import (
     EliminationDegenerate,
-    IcosaError,
     InconsistentData,
     NotInLocus,
     NotOnLocus,
@@ -33,7 +32,6 @@ from .families import (
     even_model,
     smallest_one_dimensional_genus,
 )
-from .fixtures import load_fixtures
 from .invariants import (
     check_group_relation,
     dihedral_invariants,
@@ -54,11 +52,10 @@ from .polyring import (
 
 # A one-parameter family traced in the (i1, i2) plane: F maps (j, k) to
 # the integer coefficient of i1^j i2^k, the i-slots are RationalFunctions
-# and the I-slots Polys in lambda, and kappa is the triple of Fractions
-# carrying case 1 to the printed normalisation (None in other cases)
+# and the I-slots Polys in lambda
 LocusCurve = namedtuple(
     "LocusCurve", "case_no genus F i1_of_lambda i2_of_lambda I2_of_lambda "
-    "I4_of_lambda I6_of_lambda I6star_of_lambda kappa")
+    "I4_of_lambda I6_of_lambda I6star_of_lambda")
 
 # A parameter quadratic over which the moduli map degenerates
 SingularFiber = namedtuple("SingularFiber", "kind q D d_table")
@@ -113,30 +110,12 @@ def build_locus(case_no):
     i1 = RationalFunction(I4, I2 ** 2)
     i2 = RationalFunction(I6, I2 ** 3)
     F = _eliminate(i1, i2)
-    kappa = None
-    if case_no == 1:
-        fx = load_fixtures()
-        k1 = _constant_ratio(fx.reference_absolute_g29["i1"], i1)
-        k2 = _constant_ratio(fx.reference_absolute_g29["i2"], i2)
-        kappa = (k1, k2, Fraction(1))
     locus = LocusCurve(case_no=case_no, genus=g, F=F,
                        i1_of_lambda=i1, i2_of_lambda=i2,
                        I2_of_lambda=I2, I4_of_lambda=I4,
-                       I6_of_lambda=I6, I6star_of_lambda=I6s,
-                       kappa=kappa)
+                       I6_of_lambda=I6, I6star_of_lambda=I6s)
     _LOCUS_CACHE[case_no] = locus
     return locus
-
-
-def _constant_ratio(reference, computed):
-    """The constant carrying one normalization convention to the other."""
-    ratio = reference / computed
-    if not ratio.is_constant():
-        raise InconsistentData("normalization ratio is not constant")
-    c = ratio.num.coeff(0) / ratio.den.coeff(0)
-    if reference != computed * c:
-        raise InconsistentData("normalization ratio fails to verify")
-    return c
 
 
 def _integer_pair(rf):
@@ -190,21 +169,19 @@ def _eliminate(i1, i2):
 def _reduce_plane_model(cols):
     """Content-free irreducible model from the Y-coefficient list of R.
 
-    cols[k] is the X-polynomial multiplying Y^k.  Repeated bivariate
-    factors fall to a gcd with dR/dY over Q(X), run only when one point
-    fails to prove it trivial: if lc_Y(x0) != 0 at the first such integer
-    x0 >= 1 and R(x0, Y) is squarefree, then Res_Y(R, dR/dY)(x0), the
-    resultant of R(x0, Y) and its derivative, is nonzero, so R has no
-    repeated factor over Q(X).  The X- and Y-content, where one-variable
-    leading-coefficient artifacts live, are stripped last.
+    cols[k] is the X-polynomial multiplying Y^k.  One point proves R free
+    of repeated factors: if lc_Y(x0) != 0 at the first such integer x0 >= 1
+    and R(x0, Y) is squarefree, then Res_Y(R, dR/dY)(x0), the resultant of
+    R(x0, Y) and its derivative, is nonzero, so R has no repeated factor
+    over Q(X).  Where the point proves nothing, EliminationDegenerate is
+    raised.  The X- and Y-content, where one-variable leading-coefficient
+    artifacts live, are stripped last.
     """
     lead = max(k for k, c in enumerate(cols) if c)
     x0 = next(x for x in itertools.count(1) if cols[lead](x))
     if not is_squarefree_certified(Poly([c(x0) for c in cols])):
-        P = Poly([RationalFunction(c) for c in cols])
-        P = P // P.gcd(P.derivative())
-        den = math.prod(c.den for c in P.coeffs)
-        cols = [c.num * (den // c.den) for c in P.coeffs]
+        raise EliminationDegenerate(
+            "plane model is not squarefree at the certificate point", x0=x0)
     xcontent = functools.reduce(Poly.gcd, filter(None, cols))
     if xcontent.degree > 0:
         cols = [c // xcontent for c in cols]
@@ -330,14 +307,12 @@ def singular_fibers(locus):
             "collision residue is not quadratic", degree=work.degree)
     q_coll = integer_primitive(work)
 
-    fx = load_fixtures()
-    refs = fx.moduli_fields.get(locus.case_no, {})
     fibers = []
     for kind, q in (("collision", q_coll), ("zero_locus", q_zero),
                     ("infinity_locus", q_inf)):
         disc = q.coeff(1) ** 2 - 4 * q.coeff(2) * q.coeff(0)
-        d = _squarefree_datum(disc, refs.get(kind.split("_")[0]))
-        fibers.append(SingularFiber(kind=kind, q=q, D=disc, d_table=d))
+        fibers.append(SingularFiber(kind=kind, q=q, D=disc,
+                                    d_table=squarefree_part(disc)))
 
     coll = fibers[0]
     root = _quadratic_root(coll.q, coll.d_table)
@@ -347,22 +322,6 @@ def singular_fibers(locus):
             raise UnexpectedFactorStructure(
                 "collision quadratic fails the equal-invariants check")
     return tuple(fibers)
-
-
-def _squarefree_datum(disc, reference):
-    """Squarefree part of a discriminant, by bounded factorization with a
-    perfect-square fallback against the frozen table value."""
-    try:
-        return squarefree_part(disc, max_iter=250_000)
-    except IcosaError:
-        pass
-    if reference is not None:
-        prod = disc * reference
-        if prod > 0 and math.isqrt(prod) ** 2 == prod:
-            return reference
-    raise InconsistentData(
-        "could not certify the squarefree part of the discriminant",
-        discriminant=disc)
 
 
 def field_of_moduli_at(fiber, locus):

@@ -149,6 +149,11 @@ def test_verify_suites_pass(capsys, suite):
     assert doc["suite"] == suite
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert all("id" in c and "details" in c for c in doc["checks"])
+    if suite == "loci":
+        # the Table 2 and 3 rows of every case, case 1's first
+        assert [c["id"] for c in doc["checks"][2:]] == [
+            f"table{t}.case{n}.row{k}"
+            for n in range(1, 9) for k in (1, 2, 3) for t in (2, 3)]
 
 
 def test_verify_text_mode_lines(capsys):
@@ -165,6 +170,22 @@ def test_threads_flag_validated(capsys):
     assert rc == 64
     rc, out, err = run(capsys, "--threads", "4", "icosa", "group")
     assert rc == 0
+    rc, out, err = run(capsys, "icosa", "group", "--threads", "0")
+    assert rc == 64
+
+
+@pytest.mark.parametrize("before, after", [
+    (("--format", "text", "verify", "--suite", "families"),
+     ("verify", "--suite", "families", "--format", "text")),
+    (("--threads", "2", "--format", "text", "icosa", "group"),
+     ("icosa", "group", "--format", "text", "--threads", "2")),
+    (("--format", "text", "locus", "--case", "1"),
+     ("locus", "--format", "text", "--case", "1")),
+])
+def test_global_flags_on_either_side_of_the_subcommand(capsys, before, after):
+    want = run(capsys, *before)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, *after) == want
 
 
 # exit code and stdout sha256 of each command of the cli-decomp benchmark

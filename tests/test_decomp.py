@@ -19,6 +19,7 @@ from icosacurves.decomp import (
 )
 from icosacurves.errors import ConstantInner, DegreeMismatch
 from icosacurves.exactfield import QuadraticElement
+from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import invariant_map
 from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
@@ -30,6 +31,16 @@ def test_conjugated_form_degrees():
     assert conjugated_face_form().degree == 20
     assert conjugated_vertex_form().degree == 12
     assert conjugated_edge_form().degree == 29
+
+
+@pytest.mark.parametrize("kind", ["face", "vertex", "edge"])
+def test_conjugated_forms_equal_the_printed_factor_products(kind):
+    derived = {"face": conjugated_face_form, "vertex": conjugated_vertex_form,
+               "edge": conjugated_edge_form}[kind]()
+    product = Poly([1])
+    for factor in load_fixtures().conjugated_factors[kind]:
+        product = product * factor
+    assert derived == product
 
 
 def test_conjugated_forms_parity():
@@ -58,7 +69,9 @@ def test_transported_matches_factored():
 
 
 def test_conjugated_edge_identity_true_scalar():
+    # edge^2 is nonzero, so only one scalar passes: the derived default
     assert conjugated_edge_identity()
+    assert conjugated_edge_identity(QuadraticElement(256, 512, -1))
     verify_conjugated_identities()
 
 

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icosacurves.errors import DivisionByZero, IcosaError, NotInQuadraticSubfield
+from icosacurves.errors import (
+    DivisionByZero,
+    FactoringExhausted,
+    NotInQuadraticSubfield,
+)
 from icosacurves.exactfield import (
     AlgebraicNumber,
     EPSILON3,
@@ -34,6 +38,7 @@ from icosacurves.exactfield import (
     to_ambient,
     to_subfield,
 )
+from icosacurves.fixtures import load_fixtures
 from icosacurves.polyring import clear_denominators
 
 
@@ -308,16 +313,34 @@ def test_squarefree_part():
     assert squarefree_part(2 * 3 * 5 * 7) == 210
     big = (10 ** 9 + 7) ** 2 * 13
     assert squarefree_part(big) == 13
+    # a prime above the strong test's bound needs its certificate
+    assert squarefree_part(-(2 ** 89 - 1) * 7 ** 2) == -(2 ** 89 - 1)
     with pytest.raises(ValueError):
         squarefree_part(0)
 
 
 def test_squarefree_part_effort_cap():
-    # two large random-looking primes; a tiny iteration budget must give up
+    # two large primes; one round of curves at the smallest bound must give up
     p = 2 ** 127 - 1
     q = 2 ** 89 - 1
-    with pytest.raises(IcosaError):
-        squarefree_part(p * q, max_iter=4)
+    with pytest.raises(FactoringExhausted):
+        squarefree_part(p * q, max_b1=1000)
+
+
+def test_squarefree_part_sees_through_a_strong_pseudoprime():
+    # psi_12 = 399165290221 * 798330580441 passes the strong test to every
+    # prime base up to 37; only the prime certificate exposes it
+    psi12 = 318665857834031151167461
+    assert squarefree_part(psi12 * 399165290221) == 798330580441
+    assert squarefree_part(psi12) == psi12
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+def test_squarefree_part_gives_the_printed_fields_of_moduli(case):
+    fx = load_fixtures()
+    for kind, q in fx.singular_quadratics[case].items():
+        disc = int(q.coeff(1) ** 2 - 4 * q.coeff(2) * q.coeff(0))
+        assert squarefree_part(disc) == fx.moduli_fields[case][kind]
 
 
 def test_int_vector_ops_match_field():

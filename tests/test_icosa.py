@@ -12,6 +12,7 @@ from icosacurves.errors import (
     ParabolicElement,
 )
 from icosacurves.exactfield import EPSILON5, I_UNIT, ZETA, cyclotomic_field
+from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import (
     IcosahedralGroup,
     MoebiusMap,
@@ -74,6 +75,13 @@ def test_orbit_form_degrees_and_values():
     assert r(F(1)) == 496
     assert s(F(1)) == 11
     assert t(F(1)) == -20008
+
+
+def test_orbit_forms_equal_the_printed_forms():
+    printed = load_fixtures().orbit_forms
+    assert vertex_form() == printed["vertex"]
+    assert face_form() == printed["face"]
+    assert edge_form() == printed["edge"]
 
 
 def test_syzygy():

@@ -343,7 +343,7 @@ def test_record_types_are_immutable_named_records():
         ic.DihedralInvariants: ("d", "values"),
         ic.LocusCurve: ("case_no", "genus", "F", "i1_of_lambda",
                         "i2_of_lambda", "I2_of_lambda", "I4_of_lambda",
-                        "I6_of_lambda", "I6star_of_lambda", "kappa"),
+                        "I6_of_lambda", "I6star_of_lambda"),
         ic.SingularFiber: ("kind", "q", "D", "d_table"),
     }
     for cls, names in fields.items():

@@ -10,8 +10,8 @@ import pathlib
 
 import pytest
 
-ORDER = ("errors", "polyring", "exactfield", "fixtures", "invariants",
-         "icosa", "decomp", "families", "loci", "cli")
+ORDER = ("errors", "polyring", "exactfield", "invariants", "icosa",
+         "decomp", "families", "loci", "fixtures", "cli")
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "icosacurves"
 

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icosacurves import loci
 from icosacurves.errors import (
+    EliminationDegenerate,
     NotInLocus,
     NotOnLocus,
     SingularPoint,
@@ -51,7 +51,10 @@ def test_case1_matches_printed_equation(locus1):
     ref = {k: int(v) for k, v in load_fixtures().reference_locus_case1.items()}
     assert locus1.F == ref
     assert locus1.F[(0, 4)] == 20104543529222176607891970551365425625
-    assert locus1.kappa == (F(1), F(1), F(1))
+    # the printed normalisation is the computed one: kappa = (1, 1, 1)
+    printed = load_fixtures().reference_absolute_g29
+    assert locus1.i1_of_lambda == printed["i1"]
+    assert locus1.i2_of_lambda == printed["i2"]
 
 
 def test_case1_degree_box(locus1):
@@ -217,31 +220,25 @@ def _columns(R):
             for k in range(max(k for _, k in R) + 1)]
 
 
-def _no_gcd_over_QX(*args):
-    raise AssertionError("the point certificate should have sufficed")
-
-
-def test_reduce_plane_model_strips_a_squared_factor():
-    # R(x0, Y) is a square at every x0, so the exact gcd over Q(X) runs
+def test_reduce_plane_model_rejects_a_squared_factor():
+    # R(x0, Y) is a square at every x0, so no point certifies R
     Q = {(0, 2): 1, (3, 0): -1, (0, 0): -2}          # Y^2 - X^3 - 2
     L = {(0, 1): 1, (1, 0): 1}                       # Y + X
-    got = _reduce_plane_model(_columns(_times(Q, Q, L)))
-    assert got == _times({(0, 0): -1}, Q, L)
+    with pytest.raises(EliminationDegenerate):
+        _reduce_plane_model(_columns(_times(Q, Q, L)))
 
 
-def test_reduce_plane_model_skips_roots_of_the_leading_column(monkeypatch):
+def test_reduce_plane_model_skips_roots_of_the_leading_column():
     # ((X - 1) Y + 1)^2 at X = 1 is the squarefree constant 1, which
-    # certifies nothing: the point must move on to X = 2
+    # certifies nothing: the point must move on to X = 2, where it fails
     square = _times(*[{(1, 1): 1, (0, 1): -1, (0, 0): 1}] * 2)
-    assert _reduce_plane_model(_columns(square)) == {
-        (1, 1): 1, (0, 1): -1, (0, 0): 1}
-    monkeypatch.setattr(loci, "RationalFunction", _no_gcd_over_QX)
+    with pytest.raises(EliminationDegenerate):
+        _reduce_plane_model(_columns(square))
     R = {(1, 2): 1, (0, 2): -1, (0, 1): 1, (1, 0): 1}  # (X-1)Y^2 + Y + X
     assert _reduce_plane_model(_columns(R)) == R
 
 
-def test_reduce_plane_model_strips_one_variable_factors(monkeypatch):
-    monkeypatch.setattr(loci, "RationalFunction", _no_gcd_over_QX)
+def test_reduce_plane_model_strips_one_variable_factors():
     curve = {(0, 2): 1, (3, 0): -1, (1, 0): -1}      # Y^2 - X^3 - X
     R = _times({(2, 0): 3, (0, 0): 3}, {(0, 1): 1, (0, 0): -3}, curve)
     assert _reduce_plane_model(_columns(R)) == _times({(0, 0): -1}, curve)
