@@ -35,6 +35,7 @@ from .families import (
     CurveModel,
     classify_genus,
     curve_equation,
+    curve_from_symmetric,
     even_model,
     lambda_factor,
     models_equivalent,

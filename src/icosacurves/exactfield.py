@@ -13,6 +13,7 @@ quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta5, i) < ambient, reducing at
 the bottom to integer perfect-square tests.  No floating point anywhere.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -885,6 +886,7 @@ def _factor_bounded(n, max_b1):
     return factors
 
 
+@functools.cache
 def squarefree_part(n, max_b1=50_000):
     """The squarefree integer d with n = d * (square); sign preserved.
 

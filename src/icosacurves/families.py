@@ -2,13 +2,14 @@
 
 Each admissible genus determines one of eight cases: a residue of g mod 30,
 a family dimension, a set of fixed orbit multipliers, and one of two
-automorphism groups.  Curve equations are products of branch-value factors
-with those multipliers, in either the plain model (a polynomial in x^5 up
-to one factor of x) or the even-conjugated model over the Gaussian
-rationals.  The branch values are recovered from the dihedral invariants
-of an even model.
+automorphism groups.  Every curve equation is one combination of a cached
+branch basis, in either the plain model (a polynomial in x^5 up to one
+factor of x) or the even-conjugated model over the Gaussian rationals; its
+coefficients, the symmetric functions of the branch values, are recovered
+from the dihedral invariants of an even model.
 """
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .icosa import edge_form, face_form, fiber_pair, vertex_form
 from .invariants import _demote, dihedral_invariants
-from .polyring import Poly, _inv, nullspace
+from .polyring import Poly, _inv, is_squarefree_certified, nullspace
 
 # per case: genus offset (delta = (g - offset)/30), group, multiplier names
 _CASES = {
@@ -79,9 +80,6 @@ def multiplier_forms(model):
     raise ValueError(f"unknown model {model!r}")
 
 
-_MULTIPLIER_PRODUCT = {}
-
-
 def _powers(model):
     """The (top, bottom) pair whose fiber factors are top - lam*bottom."""
     if model == "x5":
@@ -91,17 +89,23 @@ def _powers(model):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _multiplier_product(model, multipliers):
-    """The lambda-free part of a curve equation: its fixed orbit forms."""
-    key = (model, multipliers)
-    if key not in _MULTIPLIER_PRODUCT:
-        forms = multiplier_forms(model)
+@functools.cache
+def branch_basis(model, multipliers, delta):
+    """(M top^(delta-m) bottom^m for m = 0..delta), M the fixed orbit forms."""
+    if delta == 0:
         f = Poly([1])
-        for name in ("edge", "face", "vertex"):
-            if name in multipliers:
-                f = f * forms[name]
-        _MULTIPLIER_PRODUCT[key] = f
-    return _MULTIPLIER_PRODUCT[key]
+        for name in sorted(multipliers):
+            f = f * multiplier_forms(model)[name]
+        return (f,)
+    top, bottom = _powers(model)
+    below = branch_basis(model, multipliers, delta - 1)
+    return tuple(p * top for p in below) + (below[-1] * bottom,)
+
+
+def _regular(lam):
+    if lam == 0 or lam == 1728:
+        raise DegenerateBranchValue("branch value collides with a branch "
+                                    "point of the invariant map", value=lam)
 
 
 def lambda_factor(lam, model="x5"):
@@ -111,41 +115,62 @@ def lambda_factor(lam, model="x5"):
     64*face^3 - lam * vertex^5.  The two excluded values of lam are the
     branch points of the map, where the fiber degenerates.
     """
-    if lam == 0 or lam == 1728:
-        raise DegenerateBranchValue("branch value collides with a branch "
-                                    "point of the invariant map", value=lam)
+    _regular(lam)
     top, bottom = _powers(model)
     return top - bottom * lam
 
 
+def _case_for(g, count):
+    desc = classify_genus(g)
+    if count != desc.delta:
+        raise InconsistentData("wrong number of branch values for the genus",
+                               expected=desc.delta, got=count)
+    return desc
+
+
+def _member(desc, model, c, params):
+    """sum_m c_m B_m over the branch basis, coefficient by coefficient."""
+    basis = branch_basis(model, desc.multipliers, desc.delta)
+    out = [None] * len(basis[0].coeffs)  # top has the largest degree
+    for p, a in zip(basis, c):
+        for j, x in enumerate(p.coeffs if a else ()):
+            if x:
+                out[j] = x * a if out[j] is None else out[j] + x * a
+    f = Poly([0 if y is None else y for y in out])
+    if f.degree not in (2 * desc.genus + 1, 2 * desc.genus + 2):
+        raise InconsistentData("curve equation has an impossible degree",
+                               degree=f.degree, genus=desc.genus)
+    return CurveModel(f, desc.genus, model, desc, params)
+
+
 def curve_equation(g, lams, model="x5"):
     """y^2 = f(x) for the genus-g family member with the given branch values."""
-    desc = classify_genus(g)
     lams = list(lams)
-    if len(lams) != desc.delta:
-        raise InconsistentData("wrong number of branch values for the genus",
-                               expected=desc.delta, got=len(lams))
+    desc = _case_for(g, len(lams))
     for i, a in enumerate(lams):
-        for b in lams[i + 1:]:
-            if a == b:
-                raise DuplicateBranchValue("branch values must be distinct",
-                                           value=a)
-    f = _multiplier_product(model, desc.multipliers)
+        if a in lams[i + 1:]:
+            raise DuplicateBranchValue("branch values must be distinct",
+                                       value=a)
+    c = [1]  # (-1)^m e_m(lams): c <- c - lam * shift(c)
     for lam in lams:
-        f = f * lambda_factor(lam, model)
-    if f.degree not in (2 * g + 1, 2 * g + 2):
-        raise InconsistentData("curve equation has an impossible degree",
-                               degree=f.degree, genus=g)
-    return CurveModel(f=f, genus=g, model=model, case=desc, params=lams)
+        _regular(lam)
+        c = [1] + [a - lam * b for a, b in zip(c[1:] + [0], c)]
+    return _member(desc, model, c, lams)
 
 
-def _parity_support(f):
-    """0 for even support, 1 for odd support, None for mixed."""
-    has_even = any(f.coeff(k) for k in range(0, f.degree + 1, 2))
-    has_odd = any(f.coeff(k) for k in range(1, f.degree + 1, 2))
-    if has_even and has_odd:
-        return None
-    return 1 if has_odd else 0
+def curve_from_symmetric(g, s, model="x5"):
+    """The genus-g member whose branch values are the roots of P(t) =
+    t^delta - s_1 t^(delta-1) + s_2 t^(delta-2) - ...; a rational s gives
+    a model over Q even where those roots are not rational."""
+    c = [-x if m % 2 else x for m, x in enumerate([1] + list(s))]
+    desc = _case_for(g, len(c) - 1)
+    p = Poly(c[::-1])
+    for value in (0, 1728):
+        if not p(value):
+            _regular(value)
+    if not is_squarefree_certified(p):
+        raise DuplicateBranchValue("branch values must be distinct")
+    return _member(desc, model, c, [])
 
 
 def _even_coefficients(f):
@@ -153,10 +178,10 @@ def _even_coefficients(f):
 
     A polynomial that is neither even nor odd raises NotEven.
     """
-    par = _parity_support(f)
-    if par is None:
+    odd = any(f.coeffs[1::2])
+    if odd and any(f.coeffs[::2]):
         raise NotEven("polynomial mixes parities")
-    return list(f.coeffs[par::2])
+    return list(f.coeffs[odd::2])
 
 
 def even_model(curve):
@@ -174,8 +199,8 @@ def even_model(curve):
 def symmetric_from_dihedral(u, delta):
     """Elementary symmetric functions of the branch values, from u alone.
 
-    The even model is M(t) * prod_j (A(t) - lam_j B(t)) in t = x^2, so its
-    coefficients are linear in the unknowns s_m = e_m(lam).  Normal-form
+    The even model in t = x^2 is sum_m (-1)^m s_m B_m over the branch
+    basis, linear in the unknowns s_m = e_m(lam).  Normal-form
     coefficients obey a geometric-ratio symmetry whose unit, together with
     the normalization root, collapses into one extra unknown w; the
     quantities mu_k = u_(d-2k) / (2 (u_(d-1)/2)^k) then satisfy the
@@ -194,34 +219,21 @@ def symmetric_from_dihedral(u, delta):
               if sum(forms[n].degree for n in names) // 2 == offset]
     if not shapes:
         raise ValueError("invariant vector shape matches no family")
-    mult, top, bottom = (Poly(_even_coefficients(p)) for p in (
-        _multiplier_product("x2", shapes[0]), *_powers("x2")))
-    cols = []
-    for m in range(delta + 1):
-        pol = mult * top ** (delta - m) * bottom ** m
-        vec = [pol.coeff(j) for j in range(d + 1)]
-        if m % 2:
-            vec = [-c for c in vec]
-        cols.append(vec)
+    cols = [[-c if m % 2 else c for c in _even_coefficients(b)]
+            for m, b in enumerate(branch_basis("x2", shapes[0], delta))]
 
     half = u.u(d - 1) * Fraction(1, 2)
     if half == 0:
         raise SingularSystem("u_(d-1) vanishes, recovery degenerate")
-    mus = [Fraction(1)]
-    hk = 1
-    half_inv = _inv(half)
+    mus, hk, half_inv = [Fraction(1)], 1, _inv(half)
     for k in range(1, (d - 2) // 2 + 1):
         hk = hk * half_inv
         mus.append(u.u(d - 2 * k) * Fraction(1, 2) * hk)
 
     width = 2 * (delta + 1)
-    rows = []
-    for k in range((d - 2) // 2):
-        row = [0] * width
-        for m in range(delta + 1):
-            row[m] = -(mus[k + 1] * cols[m][2 * k])
-            row[delta + 1 + m] = mus[k] * cols[m][2 * k + 2]
-        rows.append(row)
+    rows = [[-(mus[k + 1] * col[2 * k]) for col in cols]
+            + [mus[k] * col[2 * k + 2] for col in cols]
+            for k in range((d - 2) // 2)]
     basis = nullspace(rows, width)
     if len(basis) != 1:
         raise SingularSystem("recovery system rank is off",
@@ -260,8 +272,4 @@ def models_equivalent(plain, even):
     target = even.f
     if transported.degree != target.degree:
         return False
-    ratio = target.leading() / transported.leading()
-    return all(
-        target.coeff(k) == (transported.coeff(k) * ratio if
-                            transported.coeff(k) else 0)
-        for k in range(target.degree + 1))
+    return target == transported * (target.leading() / transported.leading())

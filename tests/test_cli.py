@@ -66,6 +66,23 @@ def test_wrong_branch_value_count_is_a_domain_error(capsys, argv):
     assert doc["error"]["type"] == "InconsistentData"
 
 
+# the first failing check decides the error: count, then duplicates, then
+# the branch points 0 and 1728 in list order
+@pytest.mark.parametrize("lams,genus,err", [
+    ("0,5,5", "89", {"message": "branch values must be distinct",
+                     "type": "DuplicateBranchValue", "value": "5"}),
+    ("5,1728,0", "89", {"message": "branch value collides with a branch "
+                        "point of the invariant map",
+                        "type": "DegenerateBranchValue", "value": "1728"}),
+    ("0", "59", {"expected": "2", "got": "1", "message": "wrong number of "
+                 "branch values for the genus", "type": "InconsistentData"}),
+])
+def test_branch_value_errors_keep_their_order(capsys, lams, genus, err):
+    rc, out, got = run(capsys, "curve", "--genus", genus, f"--lambda={lams}")
+    assert (rc, out) == (1, "")
+    assert got == json.dumps({"error": err}, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("command", ["curve", "invariants", "model"])
 @pytest.mark.parametrize("genus,value", [("29", "-3/7"), ("59", "-3/7,2")])
 def test_negative_lambda_as_its_own_argument(capsys, command, genus, value):

@@ -1,9 +1,12 @@
 """Tests for genus classification and family curve equations."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icosacurves.errors import (
     DegenerateBranchValue,
@@ -16,12 +19,16 @@ from icosacurves.families import (
     CurveModel,
     classify_genus,
     curve_equation,
+    curve_from_symmetric,
     even_model,
     lambda_factor,
     models_equivalent,
     multiplier_forms,
     smallest_one_dimensional_genus,
+    symmetric_from_dihedral,
 )
+from icosacurves.invariants import dihedral_invariants
+from icosacurves.loci import rational_model
 from icosacurves.polyring import Poly, is_squarefree_certified
 
 F = Fraction
@@ -174,3 +181,71 @@ def test_models_equivalent():
     plain = curve_equation(29, [F(2)], "x5")
     other = curve_equation(29, [F(3)], "x2")
     assert not models_equivalent(plain, other)
+
+
+def _product_path(g, lams, model):
+    # the reference: the multiplier forms times one lambda_factor per value
+    f = Poly([1])
+    for name in sorted(classify_genus(g).multipliers):
+        f = f * multiplier_forms(model)[name]
+    for lam in lams:
+        f = f * lambda_factor(lam, model)
+    return f
+
+
+_rationals = st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                          max_denominator=50).filter(
+    lambda x: x not in (0, 1728))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.sampled_from(["x5", "x2"]),
+       st.lists(_rationals, min_size=3, max_size=3, unique=True))
+def test_curve_equation_matches_the_product_path(case_no, delta, model,
+                                                  values):
+    if case_no == 1 and delta == 0:
+        delta = 1  # case 1 has no zero-dimensional member
+    g = smallest_one_dimensional_genus(case_no) + 30 * (delta - 1)
+    lams = values[:delta]
+    assert curve_equation(g, lams, model).f == _product_path(g, lams, model)
+
+
+def test_curve_from_symmetric_matches_rational_branch_values():
+    for g, lams in ((29, [F(7)]), (59, [F(3), F(-11, 4)]),
+                    (89, [F(3), F(-5, 7), F(11)])):
+        s = [sum(math.prod(c) for c in itertools.combinations(lams, m))
+             for m in range(1, len(lams) + 1)]
+        for model in ("x5", "x2"):
+            m = curve_from_symmetric(g, s, model)
+            assert m.f == curve_equation(g, lams, model).f
+            assert (m.genus, m.model, m.params) == (g, model, [])
+
+
+@pytest.mark.parametrize("s,error,value", [
+    ([F(3), F(0)], DegenerateBranchValue, "0"),           # t^2 - 3t
+    ([F(1729), F(1728)], DegenerateBranchValue, "1728"),  # (t-1)(t-1728)
+    ([F(4), F(4)], DuplicateBranchValue, None),           # (t-2)^2
+    ([F(4)], InconsistentData, None),
+])
+def test_curve_from_symmetric_rejects_bad_branch_polynomials(s, error,
+                                                             value):
+    with pytest.raises(error) as info:
+        curve_from_symmetric(59, s, "x5")
+    assert info.value.payload.get("value") == (
+        None if value is None else F(value))
+
+
+@pytest.mark.parametrize("case_no", range(1, 9))
+def test_round_trip_at_irrational_branch_values(case_no):
+    # P = t^2 - t - 1 has the roots (1 +- sqrt(5))/2, yet the moduli point
+    # is rational and so is the model built from s alone
+    g = smallest_one_dimensional_genus(case_no) + 30
+    s = (F(1), F(-1))
+    plain = curve_from_symmetric(g, s, "x5")
+    even = curve_from_symmetric(g, s, "x2")
+    u = dihedral_invariants(even_model(even))
+    assert all(isinstance(v, (int, F)) for v in u.values)
+    assert symmetric_from_dihedral(u, 2) == s
+    assert models_equivalent(plain, even)
+    assert dihedral_invariants(even_model(rational_model(u))).values == (
+        u.values)
