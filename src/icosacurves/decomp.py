@@ -10,7 +10,6 @@ composition.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -29,7 +28,13 @@ from .icosa import (
     normalize_element_to_scaling,
     vertex_form,
 )
-from .polyring import Poly, RationalFunction, compose_rational, nullspace
+from .polyring import (
+    Poly,
+    RationalFunction,
+    compose_rational,
+    nullspace,
+    primitive_part,
+)
 
 _GAUSS_I = QuadraticElement(0, 1, -1)
 
@@ -48,9 +53,8 @@ def _conjugated_form(kind):
                "edge": (edge_form, 30)}[kind]
     moved = gaussian_transport(form(), m)
     moved = moved * moved.leading().conjugate()
-    parts = [Fraction(q) for c in moved.coeffs for q in (c.a, c.b)]
-    return moved * Fraction(math.lcm(*(q.denominator for q in parts)),
-                            math.gcd(*(q.numerator for q in parts)))
+    content, _ = primitive_part([q for c in moved.coeffs for q in (c.a, c.b)])
+    return moved * (1 / content)
 
 
 def conjugated_face_form():

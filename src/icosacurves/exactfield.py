@@ -49,19 +49,18 @@ def _intpoly_div_exact(num, den):
     return q
 
 
-_CYCLO_CACHE = {}
+@functools.cache
+def _cyclotomic_coefficients(n):
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _intpoly_div_exact(poly, _cyclotomic_coefficients(d))
+    return tuple(poly)
 
 
 def cyclotomic_polynomial(n):
     """Ascending integer coefficients of the n-th cyclotomic polynomial."""
-    if n in _CYCLO_CACHE:
-        return list(_CYCLO_CACHE[n])
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _intpoly_div_exact(poly, cyclotomic_polynomial(d))
-    _CYCLO_CACHE[n] = tuple(poly)
-    return list(poly)
+    return list(_cyclotomic_coefficients(n))
 
 
 def _totient(n):
@@ -86,7 +85,7 @@ class CyclotomicField:
 
     def __init__(self, n):
         self.n = n
-        self.modulus = tuple(cyclotomic_polynomial(n))
+        self.modulus = _cyclotomic_coefficients(n)
         self.degree = len(self.modulus) - 1
         assert self.degree == _totient(n)
         d = self.degree
@@ -150,44 +149,7 @@ class CyclotomicField:
         return f"CyclotomicField({self.n})"
 
 
-_FIELD_CACHE = {}
-
-
-def cyclotomic_field(n):
-    if n not in _FIELD_CACHE:
-        _FIELD_CACHE[n] = CyclotomicField(n)
-    return _FIELD_CACHE[n]
-
-
-class IntVectorOps:
-    """Arithmetic on integer coefficient vectors of a cyclotomic order.
-
-    The orbit loops of the icosa module run here directly on vectors whose
-    denominators they cleared; mul is the field's own kernel, the one that
-    CycloElement multiplies with.  Vectors are sequences of ints; results
-    are tuples.
-    """
-
-    __slots__ = ("n", "degree", "mul")
-
-    def __init__(self, n):
-        field = cyclotomic_field(n)
-        self.n, self.degree, self.mul = n, field.degree, field.mul
-
-    def zero(self):
-        return (0,) * self.degree
-
-    def one(self):
-        return (1,) + (0,) * (self.degree - 1)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, a, c):
-        return tuple(x * c for x in a)
+cyclotomic_field = functools.cache(CyclotomicField)
 
 
 # ----------------------------------------------------------------------------
@@ -357,23 +319,14 @@ class AlgebraicNumber(CycloElement):
 # embeddings between the ambient field and its cyclotomic subfields
 # ----------------------------------------------------------------------------
 
-_EMBED_CACHE = {}
-
-
+@functools.cache
 def _subfield_basis_images(n):
     """Images of the power basis of the order-n field inside the ambient one."""
-    if n not in _EMBED_CACHE:
-        if 60 % n != 0:
-            raise ValueError("not a subfield order")
-        amb = cyclotomic_field(60)
-        step = 60 // n
-        k = cyclotomic_field(n).degree
-        imgs = []
-        for j in range(k):
-            z = amb.zeta(step * j)
-            imgs.append(AlgebraicNumber(z.coeffs))
-        _EMBED_CACHE[n] = imgs
-    return _EMBED_CACHE[n]
+    if 60 % n != 0:
+        raise ValueError("not a subfield order")
+    amb = cyclotomic_field(60)
+    return tuple(AlgebraicNumber(amb.zeta(60 // n * j).coeffs)
+                 for j in range(cyclotomic_field(n).degree))
 
 
 def to_ambient(x):
@@ -460,47 +413,40 @@ def cyclo_arith(x, y, op):
 # square roots in the ambient field (quadratic tower descent)
 # ----------------------------------------------------------------------------
 
-# mixed basis: products of tower generators, index bits (1=sqrt5, 2=theta,
-# 4=i, 8=sqrt3); bit k set means the corresponding generator is a factor
-_MIXED_STATE = {}
+# the tower generators, and their squares as elements of the level below
+_GENS = (SQRT5, THETA, I_UNIT, SQRT3)
+_GEN_SQUARES = (AlgebraicNumber([5]), THETA * THETA, AlgebraicNumber([-1]),
+                AlgebraicNumber([3]))
 
 
-def _mixed_state():
-    if not _MIXED_STATE:
-        gens = [SQRT5, THETA, I_UNIT, SQRT3]
-        basis = []
-        for mask in range(16):
-            v = AlgebraicNumber([1])
-            for b in range(4):
-                if mask & (1 << b):
-                    v = v * gens[b]
-            basis.append(v)
-        # invert the 16x16 change-of-basis matrix (columns = basis vectors)
-        n = 16
-        cols = [v.coeffs for v in basis]
-        aug = [[cols[j][i] for j in range(n)]
-               + [_ONE if i == j2 else _ZERO for j2 in range(n)]
-               for i in range(n)]
-        inv = [row[n:] for row in rref(aug)[0]]
-        _MIXED_STATE["basis"] = basis
-        _MIXED_STATE["inv"] = inv
-        _MIXED_STATE["gens"] = gens
-        # squares of the tower generators, as elements of the level below
-        _MIXED_STATE["gen_squares"] = [
-            AlgebraicNumber([5]), THETA * THETA, AlgebraicNumber([-1]),
-            AlgebraicNumber([3]),
-        ]
-    return _MIXED_STATE
+@functools.cache
+def _mixed_basis():
+    """The mixed basis, products of tower generators with index bits
+    (1=sqrt5, 2=theta, 4=i, 8=sqrt3), and the inverse of its 16x16
+    change-of-basis matrix (columns = basis vectors)."""
+    basis = []
+    for mask in range(16):
+        v = AlgebraicNumber([1])
+        for b in range(4):
+            if mask & (1 << b):
+                v = v * _GENS[b]
+        basis.append(v)
+    n = 16
+    cols = [v.coeffs for v in basis]
+    aug = [[cols[j][i] for j in range(n)]
+           + [_ONE if i == j2 else _ZERO for j2 in range(n)]
+           for i in range(n)]
+    return basis, [row[n:] for row in rref(aug)[0]]
 
 
 def _to_mixed(x):
-    inv = _mixed_state()["inv"]
+    inv = _mixed_basis()[1]
     cs = x.coeffs
     return [sum(row[j] * cs[j] for j in range(16)) for row in inv]
 
 
 def _from_mixed(vec):
-    basis = _mixed_state()["basis"]
+    basis = _mixed_basis()[0]
     acc = AlgebraicNumber()
     for c, v in zip(vec, basis):
         if c:
@@ -522,7 +468,6 @@ def rational_square_root(q):
 
 def _sqrt_descend(x, bit):
     """Square root of x, whose mixed support uses only generator bits < 2*bit."""
-    st = _mixed_state()
     if bit == 0:
         # x must be rational
         mix = _to_mixed(x)
@@ -544,8 +489,8 @@ def _sqrt_descend(x, bit):
         else:
             lo[idx] = mix[idx]
     gi = level_bit.bit_length() - 1
-    gen = st["gens"][gi]
-    msq = st["gen_squares"][gi]
+    gen = _GENS[gi]
+    msq = _GEN_SQUARES[gi]
     a = _from_mixed(lo)
     b = _from_mixed(hi)
     nb = bit >> 1
@@ -595,15 +540,10 @@ class QuadraticField:
 
     __slots__ = ("classes", "D", "squares")
 
-    _CACHE = {}
-
-    def __new__(cls, classes):
-        if classes not in cls._CACHE:
-            self = cls._CACHE[classes] = object.__new__(cls)
-            self.classes, self.D = classes, classes[-1]
-            self.squares = tuple(math.prod(self.basis(m))
-                                 for m in range(1 << len(classes)))
-        return cls._CACHE[classes]
+    def __init__(self, classes):
+        self.classes, self.D = classes, classes[-1]
+        self.squares = tuple(math.prod(self.basis(m))
+                             for m in range(1 << len(classes)))
 
     def basis(self, m):
         """The classes whose square roots multiply to basis element m."""
@@ -619,6 +559,10 @@ class QuadraticField:
                     if y:
                         out[j ^ k] += x * y * sq[j & k]
         return tuple(out)
+
+
+# the one field of each tuple of classes, which operands compare by identity
+_quadratic_field = functools.cache(QuadraticField)
 
 
 class QuadraticElement(_IntVectorElement):
@@ -646,7 +590,7 @@ class QuadraticElement(_IntVectorElement):
               (p.coeffs if isinstance(p, QuadraticElement)
                else (Fraction(p),) + (_ZERO,) * len(inner))]
         self = object.__new__(_QuadraticTower if inner else QuadraticElement)
-        self.field = QuadraticField(tuple(f.D for f in inner) + (int(D),))
+        self.field = _quadratic_field(tuple(f.D for f in inner) + (int(D),))
         ints, self.den = clear_denominators(cs)
         self.ints = tuple(ints)
         return self

@@ -8,6 +8,7 @@ map of the projective line.
 """
 
 import functools
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     ParabolicElement,
 )
 from .exactfield import (
-    IntVectorOps,
     cyclo_sqrt,
     cyclotomic_field,
     to_ambient,
@@ -322,7 +322,7 @@ class _OrbitProductSampler:
     """
 
     def __init__(self, group):
-        self.ops = IntVectorOps(5)
+        self.mul = cyclotomic_field(5).mul
         mats = []
         for g in group.elements:
             sub = getattr(g, "sub5", None)
@@ -361,19 +361,20 @@ class _OrbitProductSampler:
         None signals a sample where the top coefficient vanishes (the point
         hits a pole of the orbit); such samples are skipped by callers.
         """
-        ops, m = self.ops, self.m
-        poly = [ops.one()]
+        mul, m = self.mul, self.m
+        add, sub = operator.add, operator.sub
+        poly = [(1, 0, 0, 0)]
         for a, b, c, d in self.reps:
-            alpha = base_a = ops.add(ops.scale(c, xv), d)
-            beta = base_b = ops.add(ops.scale(a, xv), b)
+            alpha = base_a = tuple(x * xv + y for x, y in zip(c, d))
+            beta = base_b = tuple(x * xv + y for x, y in zip(a, b))
             for _ in range(m - 1):
-                alpha = ops.mul(alpha, base_a)
-                beta = ops.mul(beta, base_b)
-            nxt = [ops.zero() for _ in range(len(poly) + 1)]
+                alpha = mul(alpha, base_a)
+                beta = mul(beta, base_b)
+            nxt = [(0, 0, 0, 0)] * (len(poly) + 1)
             for k, coef in enumerate(poly):
                 if any(coef):
-                    nxt[k + 1] = ops.add(nxt[k + 1], ops.mul(coef, alpha))
-                    nxt[k] = ops.sub(nxt[k], ops.mul(coef, beta))
+                    nxt[k + 1] = tuple(map(add, nxt[k + 1], mul(coef, alpha)))
+                    nxt[k] = tuple(map(sub, nxt[k], mul(coef, beta)))
             poly = nxt
         out = [0] * (self.size + 1)
         for k, vec in enumerate(poly):

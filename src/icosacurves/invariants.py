@@ -22,7 +22,7 @@ from .errors import (
     OrderTooLarge,
 )
 from .exactfield import EPSILON3, QuadraticElement, to_ambient
-from .polyring import Poly, _inv, clear_denominators, homogenize
+from .polyring import Poly, _inv, homogenize, primitive_part
 
 
 class BinaryForm:
@@ -166,11 +166,8 @@ def _primitive(form):
     """
     if not all(isinstance(c, (int, Fraction)) for c in form.coeffs):
         return Fraction(1), form
-    ints, den = clear_denominators(form.coeffs)
-    g = math.gcd(*ints)
-    if g == 0:
-        return Fraction(1), form
-    return Fraction(g, den), BinaryForm(form.degree, [v // g for v in ints])
+    content, ints = primitive_part(form.coeffs)
+    return content, BinaryForm(form.degree, ints)
 
 
 def invariant_set(f, genus):

@@ -41,11 +41,11 @@ from .polyring import (
     Poly,
     RationalFunction,
     _bareiss_det,
-    clear_denominators,
     integer_primitive,
     interpolate,
     inverse_mod,
     is_squarefree_certified,
+    primitive_part,
     sylvester_matrix,
 )
 
@@ -76,9 +76,7 @@ def _sample_values(count):
     return out
 
 
-_LOCUS_CACHE = {}
-
-
+@functools.cache
 def build_locus(case_no):
     """Interpolate the invariants of the one-parameter family and
     eliminate the parameter.
@@ -89,8 +87,6 @@ def build_locus(case_no):
     smallest coefficient box admitting a linear relation among the
     monomials in (i1, i2).
     """
-    if case_no in _LOCUS_CACHE:
-        return _LOCUS_CACHE[case_no]
     if case_no not in range(1, 9):
         raise ValueError("case number must be between 1 and 8")
     g = smallest_one_dimensional_genus(case_no)
@@ -110,12 +106,10 @@ def build_locus(case_no):
     i1 = RationalFunction(I4, I2 ** 2)
     i2 = RationalFunction(I6, I2 ** 3)
     F = _eliminate(i1, i2)
-    locus = LocusCurve(case_no=case_no, genus=g, F=F,
-                       i1_of_lambda=i1, i2_of_lambda=i2,
-                       I2_of_lambda=I2, I4_of_lambda=I4,
-                       I6_of_lambda=I6, I6star_of_lambda=I6s)
-    _LOCUS_CACHE[case_no] = locus
-    return locus
+    return LocusCurve(case_no=case_no, genus=g, F=F,
+                      i1_of_lambda=i1, i2_of_lambda=i2,
+                      I2_of_lambda=I2, I4_of_lambda=I4,
+                      I6_of_lambda=I6, I6star_of_lambda=I6s)
 
 
 def _integer_pair(rf):
@@ -124,10 +118,9 @@ def _integer_pair(rf):
     One common rescaling keeps num/den equal to the input; scaling the
     two halves separately would silently change the function.
     """
-    ints, _ = clear_denominators(rf.num.coeffs + rf.den.coeffs)
-    g = math.gcd(*ints)
+    _, ints = primitive_part(rf.num.coeffs + rf.den.coeffs)
     k = len(rf.num.coeffs)
-    return Poly([c // g for c in ints[:k]]), Poly([c // g for c in ints[k:]])
+    return Poly(ints[:k]), Poly(ints[k:])
 
 
 def _eliminate(i1, i2):
@@ -200,11 +193,9 @@ def _reduce_plane_model(cols):
                 out[(j, k)] = v
     if not out:
         raise EliminationDegenerate("plane model reduced to zero")
-    ints, _ = clear_denominators(out.values())
-    g = math.gcd(*ints)
-    if out[max(out)] < 0:
-        g = -g
-    return {jk: c // g for jk, c in zip(out, ints)}
+    _, ints = primitive_part(out.values())
+    sign = -1 if out[max(out)] < 0 else 1
+    return {jk: sign * c for jk, c in zip(out, ints)}
 
 
 def evaluate_plane_model(F, x, y):

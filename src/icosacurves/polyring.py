@@ -213,16 +213,24 @@ def inverse_mod(p, m):
     return s0 * _inv(r0.coeffs[0])
 
 
+def primitive_part(values):
+    """(content, ints) for ints and Fractions: coprime integers ints and a
+    positive Fraction content with values[i] == content * ints[i]; the
+    content is 1 when every value is 0."""
+    ints, den = clear_denominators(values)
+    g = math.gcd(*ints)
+    if not g:
+        return Fraction(1), ints
+    return Fraction(g, den), [c // g for c in ints]
+
+
 def integer_primitive(poly):
     """The content-free integer multiple of a Fraction-coefficient
     polynomial, with positive leading coefficient."""
     if not poly:
         return poly
-    ints, _ = clear_denominators(poly.coeffs)
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Poly([c // g for c in ints])
+    _, ints = primitive_part(poly.coeffs)
+    return Poly(ints) if ints[-1] > 0 else -Poly(ints)
 
 
 # ----------------------------------------------------------------------------
@@ -441,12 +449,12 @@ def _root_map_for(polys, prime):
     sent to g^((prime-1)/n) for the generator g of _primitive_root: it has
     exact order n, and nested orders get compatible images.  None when an
     image does not exist mod prime, when a coefficient type has none, or
-    when quadratic and cyclotomic coefficients meet, because their images
-    are chosen independently and need not respect the embedding of one
-    field in the other.
+    when a square class meets another class or a cyclotomic field, because
+    their images are chosen independently: they need not respect a
+    relation such as sqrt(12) = 2*sqrt(3) or sqrt(-5) = sqrt(5)*sqrt(-1),
+    nor the embedding of one field in the other.
     """
     rm = {}
-    quadratic = cyclotomic = False
     for poly in polys:
         for c in poly.coeffs:
             if isinstance(c, (int, Fraction)):
@@ -454,13 +462,11 @@ def _root_map_for(polys, prime):
             d = getattr(c, "D", None)
             field = getattr(c, "field", None)
             if d is not None:
-                quadratic = True
                 if d not in rm:
                     rm[d] = _mod_sqrt(d, prime)
                     if rm[d] is None:
                         return None
             elif field is not None:
-                cyclotomic = True
                 if field not in rm:
                     if (prime - 1) % field.n:
                         return None
@@ -469,7 +475,7 @@ def _root_map_for(polys, prime):
                     rm[field] = [pow(z, j, prime) for j in range(field.degree)]
             else:
                 return None  # coefficient type without a modular image
-    if quadratic and cyclotomic:
+    if len(rm) > 1 and any(isinstance(key, int) for key in rm):
         return None
     return rm
 

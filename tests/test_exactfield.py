@@ -18,7 +18,6 @@ from icosacurves.exactfield import (
     EPSILON3,
     EPSILON5,
     I_UNIT,
-    IntVectorOps,
     OMEGA,
     QuadraticElement,
     SQRT3,
@@ -39,7 +38,6 @@ from icosacurves.exactfield import (
     to_subfield,
 )
 from icosacurves.fixtures import load_fixtures
-from icosacurves.polyring import clear_denominators
 
 
 def brute_cyclotomic(n):
@@ -341,19 +339,6 @@ def test_squarefree_part_gives_the_printed_fields_of_moduli(case):
     for kind, q in fx.singular_quadratics[case].items():
         disc = int(q.coeff(1) ** 2 - 4 * q.coeff(2) * q.coeff(0))
         assert squarefree_part(disc) == fx.moduli_fields[case][kind]
-
-
-def test_int_vector_ops_match_field():
-    ops = IntVectorOps(5)
-    f = cyclotomic_field(5)
-    a = f.element([1, -2, 3, 4])
-    b = f.element([0, 7, -1, 2])
-    va, da = clear_denominators(a.coeffs)
-    vb, db = clear_denominators(b.coeffs)
-    assert da == db == 1
-    prod = ops.mul(va, vb)
-    assert f.element(prod) == a * b
-    assert ops.add(va, vb) == tuple(int(c) for c in (a + b).coeffs)
 
 
 def fraction_vector_sum(a, b, sign):

@@ -29,6 +29,7 @@ from icosacurves.polyring import (
     is_squarefree_certified,
     nullspace,
     poly_mod_p,
+    primitive_part,
     resultant,
     rref,
     solve_linear,
@@ -97,6 +98,24 @@ def test_clear_denominators_and_primitive():
     assert ints == [2, 3, 20]
     assert integer_primitive(Poly([F(4), F(-8), F(12)])) == Poly([1, -2, 3])
     assert integer_primitive(Poly([F(2), F(-4)])) == Poly([-1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**12, 10**12),
+                          st.fractions(max_denominator=10**6)),
+                max_size=8))
+@example([])
+@example([0, F(0), 0])
+@example([F(-4, 3), F(8, 9), 12])
+def test_primitive_part_matches_its_definition(values):
+    content, ints = primitive_part(values)
+    assert all(type(c) is int for c in ints)
+    assert [content * c for c in ints] == values
+    assert isinstance(content, Fraction) and content > 0
+    if any(values):
+        assert math.gcd(*ints) == 1
+    else:
+        assert content == 1
 
 
 def test_interpolate_exact():
@@ -392,6 +411,28 @@ def test_certified_coprime_cyclotomic_falls_through():
 def test_certified_coprime_refuses_mixed_fields():
     sqrt5 = QuadraticElement(0, 1, 5)
     assert certified_coprime(Poly([sqrt5, 1]), Poly([Z60.zeta(), 1])) is None
+
+
+def _root(D, scale=1):
+    return scale * QuadraticElement(0, 1, D)
+
+
+# each pair shares a root, its coefficients in dependent square classes:
+# sqrt(12) = 2 sqrt(3), sqrt(-4) = 2i, sqrt(20) = 2 sqrt(5), and
+# sqrt(-5) = sqrt(5) i, the root of sqrt(5) x - 5i
+@pytest.mark.parametrize("p, q", [
+    (Poly([-_root(12), 1]), Poly([-_root(3, 2), 1])),
+    (Poly([-_root(-4), 1]), Poly([-_root(-1, 2), 1])),
+    (Poly([-_root(20), 1]), Poly([-_root(5, 2), 1])),
+    (Poly([-_root(-5), 1]), Poly([-_root(-1, 5), _root(5)])),
+], ids=["12-3", "-4--1", "20-5", "-5-5--1"])
+def test_certified_coprime_refuses_two_square_classes(p, q):
+    assert certified_coprime(p, q) is None
+
+
+def test_certified_coprime_certifies_one_square_class():
+    assert certified_coprime(Poly([-_root(3), 1]),
+                             Poly([-_root(3, 2), 1])) is True
 
 
 def test_rref_and_nullspace():
