@@ -28,6 +28,10 @@ class NotInQuadraticSubfield(IcosaError):
     """Element generates a subfield of degree above two."""
 
 
+class NotInAmbientField(IcosaError):
+    """A square class whose root lies outside the ambient cyclotomic field."""
+
+
 class ZeroPolynomial(IcosaError):
     """An operation that needs a nonzero polynomial received the zero one."""
 

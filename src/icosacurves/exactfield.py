@@ -9,19 +9,23 @@ vector over one positive denominator, kept in lowest terms, and both kinds
 share one set of operators; only the integer product differs by field.
 
 Square roots inside the ambient field are decided exactly by walking the
-quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta5, i) < ambient, reducing at
-the bottom to integer perfect-square tests.  No floating point anywhere.
+quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta20) < ambient: the Galois
+automorphism zeta -> zeta^k that negates a level's generator splits each
+element into its parts one level down, and the walk ends in integer
+perfect-square tests.  No floating point anywhere.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, FactoringExhausted, NotInQuadraticSubfield
-from .polyring import Poly, clear_denominators, inverse_mod, rref, solve_linear
+from .errors import (DivisionByZero, FactoringExhausted, NotInAmbientField,
+                     NotInQuadraticSubfield)
+from .polyring import Poly, clear_denominators, inverse_mod, solve_linear
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 # ----------------------------------------------------------------------------
@@ -339,8 +343,11 @@ def to_ambient(x):
         # only the terms present, so that a part in a square class outside
         # the ambient field may vanish
         def image(m):
-            return math.prod((SQRT_BY_CLASS[D] for D in x.field.basis(m)),
-                             start=AlgebraicNumber([1]))
+            roots = [SQRT_BY_CLASS.get(D) for D in x.field.basis(m)]
+            if any(r is None for r in roots):
+                raise NotInAmbientField("square class outside the ambient "
+                                        "field", classes=x.field.basis(m))
+            return math.prod(roots, start=AlgebraicNumber([1]))
     else:
         image = _subfield_basis_images(x.field.n).__getitem__
     acc = AlgebraicNumber()
@@ -352,15 +359,10 @@ def to_ambient(x):
 
 def to_subfield(x, n):
     """Project an ambient element into the order-n subfield, or None."""
-    imgs = _subfield_basis_images(n)
-    k = len(imgs)
-    # solve sum_j c_j * imgs[j] == x  (16 equations, k unknowns)
-    cols = [img.coeffs for img in imgs]
-    rows = [[cols[j][i] for j in range(k)] for i in range(16)]
-    sol = solve_linear(rows, x.coeffs)
-    if sol is None:
-        return None
-    return cyclotomic_field(n).element(sol)
+    # sum_j c_j * image_j == x: 16 equations in one unknown per image
+    cols = [img.coeffs for img in _subfield_basis_images(n)]
+    sol = solve_linear(list(zip(*cols)), x.coeffs)
+    return None if sol is None else cyclotomic_field(n).element(sol)
 
 
 # ----------------------------------------------------------------------------
@@ -413,115 +415,66 @@ def cyclo_arith(x, y, op):
 # square roots in the ambient field (quadratic tower descent)
 # ----------------------------------------------------------------------------
 
-# the tower generators, and their squares as elements of the level below
-_GENS = (SQRT5, THETA, I_UNIT, SQRT3)
-_GEN_SQUARES = (AlgebraicNumber([5]), THETA * THETA, AlgebraicNumber([-1]),
-                AlgebraicNumber([3]))
-
-
 @functools.cache
-def _mixed_basis():
-    """The mixed basis, products of tower generators with index bits
-    (1=sqrt5, 2=theta, 4=i, 8=sqrt3), and the inverse of its 16x16
-    change-of-basis matrix (columns = basis vectors)."""
-    basis = []
-    for mask in range(16):
-        v = AlgebraicNumber([1])
-        for b in range(4):
-            if mask & (1 << b):
-                v = v * _GENS[b]
-        basis.append(v)
-    n = 16
-    cols = [v.coeffs for v in basis]
-    aug = [[cols[j][i] for j in range(n)]
-           + [_ONE if i == j2 else _ZERO for j2 in range(n)]
-           for i in range(n)]
-    return basis, [row[n:] for row in rref(aug)[0]]
+def _tower():
+    """Per level of Q < Q(sqrt5) < Q(zeta5) < Q(zeta20) < ambient: the k of
+    the automorphism zeta -> zeta^k that negates the level's generator g and
+    fixes the levels below it, then g, g*g and 1/g."""
+    return tuple((k, g, g * g, g.inverse())
+                 for k, g in ((7, SQRT5), (49, THETA), (11, I_UNIT),
+                              (41, SQRT3)))
 
 
-def _to_mixed(x):
-    inv = _mixed_basis()[1]
-    cs = x.coeffs
-    return [sum(row[j] * cs[j] for j in range(16)) for row in inv]
-
-
-def _from_mixed(vec):
-    basis = _mixed_basis()[0]
-    acc = AlgebraicNumber()
-    for c, v in zip(vec, basis):
+def _galois(x, k):
+    """The image of an ambient element under zeta -> zeta^k."""
+    zeta = x.field.zeta
+    out = [0] * x.field.degree
+    for j, c in enumerate(x.ints):
         if c:
-            acc = acc + v * c
-    return acc
+            for i, v in enumerate(zeta(j * k).ints):
+                out[i] += c * v
+    return x._new(tuple(out), x.den)
 
 
 def rational_square_root(q):
     """Exact square root of a Fraction, or None."""
     q = Fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    r = Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
+    return r if r * r == q else None
 
 
-def _sqrt_descend(x, bit):
-    """Square root of x, whose mixed support uses only generator bits < 2*bit."""
-    if bit == 0:
-        # x must be rational
-        mix = _to_mixed(x)
-        if any(mix[1:]):
-            return None
-        r = rational_square_root(mix[0])
+def _sqrt_descend(x, level):
+    """A square root of x, an element of the given tower level, or None.
+    x = a + b*g one level down, with a = (x + x')/2 and b = (x - x')/(2g)
+    for x' the image of x under the level's automorphism."""
+    if not level:
+        r = rational_square_root(x.rational_value())
         return None if r is None else AlgebraicNumber([r])
-    level_bit = bit
-    mix = _to_mixed(x)
-    lo = [_ZERO] * 16
-    hi = [_ZERO] * 16
-    for idx in range(16):
-        if not mix[idx]:
-            continue
-        if idx & ~(2 * level_bit - 1):
-            raise ValueError("element outside the claimed tower level")
-        if idx & level_bit:
-            hi[idx & ~level_bit] = mix[idx]
-        else:
-            lo[idx] = mix[idx]
-    gi = level_bit.bit_length() - 1
-    gen = _GENS[gi]
-    msq = _GEN_SQUARES[gi]
-    a = _from_mixed(lo)
-    b = _from_mixed(hi)
-    nb = bit >> 1
+    k, gen, msq, inv = _tower()[level - 1]
+    conj = _galois(x, k)
+    a, b = (x + conj) * _HALF, (x - conj) * inv * _HALF
+    level -= 1
     if not b:
-        r = _sqrt_descend(a, nb)
+        r = _sqrt_descend(a, level)
         if r is not None:
             return r
-        r = _sqrt_descend(a / msq, nb)
-        if r is not None:
-            return r * gen
-        return None
-    norm = a * a - msq * b * b
-    n = _sqrt_descend(norm, nb)
+        r = _sqrt_descend(a * inv * inv, level)
+        return None if r is None else r * gen
+    n = _sqrt_descend(a * a - msq * b * b, level)
     if n is None:
         return None
     for sgn in (1, -1):
-        y2 = (a + n * sgn) / (msq * 2)
-        y = _sqrt_descend(y2, nb)
-        if y is None or not y:
-            continue
-        cand = b / (y * 2) + y * gen
-        if cand * cand == x:
-            return cand
+        y = _sqrt_descend((a + n * sgn) * inv * inv * _HALF, level)
+        if y:
+            cand = b * (y * 2).inverse() + y * gen
+            if cand * cand == x:
+                return cand
     return None
 
 
 def cyclo_sqrt(x):
     """A square root of x in the ambient field, or None if none exists."""
-    if not x:
-        return AlgebraicNumber()
-    return _sqrt_descend(to_ambient(x), 8)
+    return _sqrt_descend(to_ambient(x), 4)
 
 
 # ----------------------------------------------------------------------------
@@ -566,7 +519,7 @@ _quadratic_field = functools.cache(QuadraticField)
 
 
 class QuadraticElement(_IntVectorElement):
-    """a + b*sqrt(D) with a fixed squarefree integer D.
+    """a + b*sqrt(D), kept as a + (b*m)*sqrt(s) for D = s*m^2, s squarefree.
 
     The parts a, b are rationals, stored as 2 integers over one
     denominator, or elements of Q(sqrt(d)) for one other square class d,
@@ -575,14 +528,17 @@ class QuadraticElement(_IntVectorElement):
     at a parameter in Q(sqrt(d)).  Rationals combine with either level and
     an element of Q(sqrt(D)) is promoted into the tower when the two meet;
     an element of Q(sqrt(d)) enters the tower only as a part, since two
-    square classes at one level do not mix.
+    square classes at one level do not mix: arithmetic between them
+    raises, and they compare equal only on equal rationals.
     """
 
     __slots__ = ()
 
     def __new__(cls, a, b, D):
-        if D == 0 or D > 0 and math.isqrt(D) ** 2 == D:
+        s = D if isinstance(D, _Squarefree) else squarefree_part(D) if D else 1
+        if s == 1:
             raise ValueError("D must be a nonsquare integer")
+        b = b * math.isqrt(int(D) // s)  # sqrt(D) = m*sqrt(s)
         inner = {p.field for p in (a, b) if isinstance(p, QuadraticElement)}
         if len(inner) > 1 or any(len(f.classes) > 1 for f in inner):
             raise ValueError("tower parts must share one quadratic field")
@@ -590,7 +546,7 @@ class QuadraticElement(_IntVectorElement):
               (p.coeffs if isinstance(p, QuadraticElement)
                else (Fraction(p),) + (_ZERO,) * len(inner))]
         self = object.__new__(_QuadraticTower if inner else QuadraticElement)
-        self.field = _quadratic_field(tuple(f.D for f in inner) + (int(D),))
+        self.field = _quadratic_field(tuple(f.D for f in inner) + (s,))
         ints, self.den = clear_denominators(cs)
         self.ints = tuple(ints)
         return self
@@ -629,6 +585,14 @@ class QuadraticElement(_IntVectorElement):
             return self._new((other.numerator,) + zeros, other.denominator)
         return None
 
+    def __eq__(self, other):
+        if (isinstance(other, QuadraticElement) and other.D != self.D
+                and len(self.ints) == len(other.ints) == 2):
+            # two square classes share only the rationals
+            return (self.is_rational() and other.is_rational()
+                    and self.rational_value() == other.rational_value())
+        return super().__eq__(other)
+
     def inverse(self):
         """The product of the other conjugates divided by the norm."""
         if not self:
@@ -653,7 +617,7 @@ class QuadraticElement(_IntVectorElement):
             return hash(self.rational_value())
         try:
             return hash(to_ambient(self))
-        except KeyError:  # a square class outside the ambient field
+        except NotInAmbientField:
             return hash((self.den,) + tuple((self.field.basis(m), c) for m, c
                                             in enumerate(self.ints) if c))
 
@@ -830,6 +794,12 @@ def _factor_bounded(n, max_b1):
     return factors
 
 
+class _Squarefree(int):
+    """A result of squarefree_part, which QuadraticElement does not factor."""
+
+    __slots__ = ()
+
+
 @functools.cache
 def squarefree_part(n, max_b1=50_000):
     """The squarefree integer d with n = d * (square); sign preserved.
@@ -841,4 +811,4 @@ def squarefree_part(n, max_b1=50_000):
         raise ValueError("squarefree part of zero")
     factors = _factor_bounded(abs(n), max_b1)
     d = math.prod(p for p, e in factors.items() if e % 2)
-    return -d if n < 0 else d
+    return _Squarefree(-d if n < 0 else d)

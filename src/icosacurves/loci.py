@@ -234,16 +234,14 @@ def _strip_factor(poly, factor):
 
 
 def _quadratic_root(q, d):
-    """The root (-B + s sqrt(d)) / (2A) of A x^2 + B x + C."""
-    A = q.coeff(2)
-    B = q.coeff(1)
-    C = q.coeff(0)
-    disc = B * B - 4 * A * C
-    s2, rem = divmod(disc, d)
-    s = math.isqrt(s2)
-    if rem or s * s != s2:
+    """The root (-B + sqrt(B^2 - 4AC)) / (2A) of A x^2 + B x + C, an
+    element of Q(sqrt(d))."""
+    A, B, C = q.coeff(2), q.coeff(1), q.coeff(0)
+    root = QuadraticElement(Fraction(-B, 2 * A), Fraction(1, 2 * A),
+                            B * B - 4 * A * C)
+    if root.D != d:
         raise InconsistentData("discriminant is not d times a square")
-    return QuadraticElement(Fraction(-B, 2 * A), Fraction(s, 2 * A), int(d))
+    return root
 
 
 def singular_fibers(locus):

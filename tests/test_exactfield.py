@@ -2,15 +2,23 @@
 
 import cmath
 import math
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icosacurves import exactfield
 from icosacurves.errors import (
     DivisionByZero,
     FactoringExhausted,
+    IcosaError,
+    NotInAmbientField,
     NotInQuadraticSubfield,
 )
 from icosacurves.exactfield import (
@@ -36,8 +44,13 @@ from icosacurves.exactfield import (
     squarefree_part,
     to_ambient,
     to_subfield,
+    _galois,
+    _tower,
 )
 from icosacurves.fixtures import load_fixtures
+from icosacurves.icosa import build_icosahedral_group
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def brute_cyclotomic(n):
@@ -267,6 +280,61 @@ def test_cyclo_sqrt_round_trip(cs):
     assert r * r == sq
 
 
+def test_each_level_automorphism_negates_its_generator_only():
+    gens = [g for _, g, _, _ in _tower()]
+    for level, (k, gen, square, inv) in enumerate(_tower()):
+        assert _galois(gen, k) == -gen
+        assert square == gen * gen and gen * inv == 1
+        for below in gens[:level]:
+            assert _galois(below, k) == below
+    # a field automorphism: it respects products and fixes the rationals
+    x, y = ZETA * 3 - OMEGA + Fraction(7, 2), ZETA ** 7 + I_UNIT
+    for k, _, _, _ in _tower():
+        assert _galois(x * y, k) == _galois(x, k) * _galois(y, k)
+        assert _galois(AlgebraicNumber([Fraction(5, 3)]), k) == Fraction(5, 3)
+
+
+def tower_element(level, coeffs):
+    """sum over the subsets S of the first `level` tower generators of a
+    coefficient times the product of S: an element of that level."""
+    gens = [g for _, g, _, _ in _tower()][:level]
+    acc = AlgebraicNumber()
+    for mask, c in enumerate(coeffs[:1 << level]):
+        acc = acc + math.prod((g for b, g in enumerate(gens) if mask >> b & 1),
+                              start=AlgebraicNumber([c]))
+    return acc
+
+
+@pytest.mark.parametrize("level", range(5))
+@settings(max_examples=12, deadline=None)
+@given(coeffs=st.lists(fraction_strategy, min_size=16, max_size=16))
+def test_cyclo_sqrt_round_trip_at_every_tower_level(level, coeffs):
+    # Q, Q(sqrt5), Q(zeta5), Q(zeta20) and the ambient field: squares from
+    # the lower levels run the descent's b = 0 branches
+    x = tower_element(level, coeffs)
+    r = cyclo_sqrt(x * x)
+    assert r is not None and r * r == x * x
+    assert r in (x, -x)
+
+
+def test_cyclo_sqrt_pins_the_root_of_the_order_three_discriminant():
+    # the conjugating map sigma of the x3 decomposition comes from this root
+    gamma = next(g for g in build_icosahedral_group().elements
+                 if g.order() == 3)
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    disc = (d - a) * (d - a) + b * c * 4
+    assert cyclo_sqrt(disc) == 1 - ZETA ** 4 - 2 * ZETA ** 10 - ZETA ** 14
+
+
+def test_level_table_is_built_on_first_use():
+    code = ("import icosacurves.exactfield as e\n"
+            "assert e._tower.cache_info().currsize == 0\n"
+            "e.cyclo_sqrt(e.AlgebraicNumber([5]))\n"
+            "assert e._tower.cache_info().currsize == 1\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
 def test_quadratic_element_arithmetic():
     x = QuadraticElement(1, 2, 5)
     y = QuadraticElement(3, -1, 5)
@@ -281,10 +349,69 @@ def test_quadratic_element_arithmetic():
         x + QuadraticElement(1, 1, 3)
 
 
-@pytest.mark.parametrize("D", [4, 9, 25])
+@pytest.mark.parametrize("D", [4, 9, 25, 0, 1, 36, 10 ** 6])
 def test_quadratic_element_rejects_a_square_d(D):
     with pytest.raises(ValueError, match="nonsquare"):
         QuadraticElement(0, 1, D)
+
+
+def test_quadratic_element_reduces_d_to_its_squarefree_class():
+    root12 = QuadraticElement(0, 1, 12)
+    assert (root12.a, root12.b, root12.D) == (0, 2, 3)
+    assert root12 == 2 * QuadraticElement(0, 1, 3)
+    assert hash(root12) == hash(2 * QuadraticElement(0, 1, 3))
+    assert root12 * root12 == 12
+    assert QuadraticElement(1, 1, -4) == QuadraticElement(1, 2, -1)
+    assert to_ambient(QuadraticElement(0, 1, -4)) == 2 * I_UNIT
+    assert QuadraticElement(Fraction(1, 3), 1, 45) == 3 * SQRT5 + Fraction(1, 3)
+    # a class outside the ambient field, with a large square factor
+    p = 10 ** 9 + 7
+    big = QuadraticElement(1, 1, 7 * p * p)
+    assert big.D == 7 and big == QuadraticElement(1, p, 7)
+    # a tower over a reduced inner class, with a reduced outer D
+    tower = QuadraticElement(QuadraticElement(1, 1, 20), 1, -9)
+    assert tower.D == -1 and tower.b == 3
+    assert tower.a == QuadraticElement(1, 2, 5) and tower.a.D == 5
+    assert tower == QuadraticElement(QuadraticElement(1, 2, 5), 3, -1)
+
+
+def test_distinct_square_classes_compare_unequal_but_do_not_mix():
+    root5, root3 = QuadraticElement(0, 1, 5), QuadraticElement(0, 1, 3)
+    assert root5 != root3 and not root5 == root3
+    assert QuadraticElement(2, 1, 5) != QuadraticElement(2, 1, -1)
+    # rationals in two classes are one rational
+    assert QuadraticElement(3, 0, 5) == QuadraticElement(3, 0, -1)
+    assert QuadraticElement(3, 0, 5) != QuadraticElement(2, 0, -1)
+    assert QuadraticElement(3, 1, 5) != QuadraticElement(3, 0, -1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            op(root5, root3)
+
+
+def test_a_class_from_squarefree_part_is_not_factored_again(monkeypatch):
+    # classes squarefree_part returned: the case-1 collision class and -1
+    d, minus_one = squarefree_part(FIBER_D * 49), squarefree_part(-4)
+    assert (d, minus_one) == (FIBER_D, -1)
+
+    def refuse(n, max_b1):
+        raise AssertionError("factored again")
+
+    monkeypatch.setattr(exactfield, "_factor_bounded", refuse)
+    x = QuadraticElement(1, 1, d)
+    tower = QuadraticElement(x, x + 1, minus_one)
+    assert x.D == d and tower.a == x and tower.b.D == d
+    assert QuadraticElement(x.a, -x.b, x.D) == x.conjugate()
+
+
+def test_a_class_outside_the_ambient_field_raises_a_typed_error():
+    x = QuadraticElement(1, 1, 7)
+    for call in (lambda: to_ambient(x), lambda: cyclo_sqrt(x),
+                 lambda: AlgebraicNumber([1]) + x, lambda: x + ZETA):
+        with pytest.raises(NotInAmbientField) as err:
+            call()
+        assert isinstance(err.value, IcosaError)
+        assert err.value.to_json()["classes"] == "(7,)"
+    assert len({x, QuadraticElement(1, 1, 7)}) == 1
 
 
 def test_quadratic_element_matches_ambient():
