@@ -7,6 +7,8 @@ identifications.  Quadratic fields Q(sqrt(D)) and the towers
 Q(sqrt(d))(sqrt(D)) carry the curve models.  Every element is an integer
 vector over one positive denominator, kept in lowest terms, and both kinds
 share one set of operators; only the integer product differs by field.
+Each field also maps its basis mod a prime (residues), the ring map onto the
+prime field behind the modular certificates of polyring.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta20) < ambient: the Galois
@@ -149,6 +151,19 @@ class CyclotomicField:
             self._zeta_powers = powers
         return self._zeta_powers[power % self.n]
 
+    @functools.cache
+    def residues(self, prime):
+        """The power basis mod prime under a ring map onto the prime field,
+        or None: zeta_n goes to an element of exact order n, which exists
+        when n divides prime - 1."""
+        if (prime - 1) % self.n:
+            return None
+        for a in range(2, prime):
+            z = pow(a, (prime - 1) // self.n, prime)
+            powers = [pow(z, j, prime) for j in range(self.n)]
+            if powers.count(1) == 1:
+                return tuple(powers[:self.degree])
+
     def __repr__(self):
         return f"CyclotomicField({self.n})"
 
@@ -290,6 +305,12 @@ class CycloElement(_IntVectorElement):
         if isinstance(other, QuadraticElement) and self.field.n == 60:
             return to_ambient(other)
         return None
+
+    def __eq__(self, other):
+        try:
+            return super().__eq__(other)
+        except NotInAmbientField:
+            return False  # the other value lies outside the ambient field
 
     def inverse(self):
         """den times the inverse of ints modulo the cyclotomic polynomial."""
@@ -513,6 +534,18 @@ class QuadraticField:
                         out[j ^ k] += x * y * sq[j & k]
         return tuple(out)
 
+    @functools.cache
+    def residues(self, prime):
+        """The basis mod prime under a ring map onto the prime field, or
+        None: each class goes to its Tonelli-Shanks root, when it has one,
+        and basis element m to the product of the roots of its bits."""
+        roots = [_mod_sqrt(c, prime) for c in self.classes]
+        if None in roots:
+            return None
+        return tuple(math.prod(r for bit, r in enumerate(roots)
+                               if m >> bit & 1) % prime
+                     for m in range(len(self.squares)))
+
 
 # the one field of each tuple of classes, which operands compare by identity
 _quadratic_field = functools.cache(QuadraticField)
@@ -542,6 +575,8 @@ class QuadraticElement(_IntVectorElement):
         inner = {p.field for p in (a, b) if isinstance(p, QuadraticElement)}
         if len(inner) > 1 or any(len(f.classes) > 1 for f in inner):
             raise ValueError("tower parts must share one quadratic field")
+        if any(f.D == s for f in inner):
+            raise ValueError("a tower over its own square class is no field")
         cs = [c for p in (a, b) for c in
               (p.coeffs if isinstance(p, QuadraticElement)
                else (Fraction(p),) + (_ZERO,) * len(inner))]
@@ -792,6 +827,24 @@ def _factor_bounded(n, max_b1):
                 remaining=m, max_b1=max_b1)
         stack.extend([g, m // g])
     return factors
+
+
+def _mod_sqrt(a, p):
+    """Tonelli-Shanks square root mod an odd prime, or None."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1    # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, m) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 class _Squarefree(int):

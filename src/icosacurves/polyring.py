@@ -4,6 +4,12 @@ Coefficients may be Fractions, quadratic-field elements, or cyclotomic
 elements; any type with exact +, -, *, / and truthiness works, and plain
 ints coerce through the coefficient type's own arithmetic.  Polynomials are
 stored lowest degree first with trailing zeros stripped.
+
+The modular certificates read a coefficient that is not an int or Fraction
+only through three attributes: ints, a tuple of integers, over den, a
+positive integer, on the basis of field, whose residues(prime) gives the
+images of that basis under a ring map onto the integers mod prime, or None
+where there is no such map.
 """
 
 import math
@@ -337,58 +343,19 @@ def resultant(p, q):
 # modular reductions and squarefree certification
 # ----------------------------------------------------------------------------
 
-def _mod_sqrt(a, p):
-    """Tonelli-Shanks square root mod an odd prime, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+def poly_mod_p(poly, prime):
+    """Reduce coefficients mod prime; None when a denominator vanishes or
+    a coefficient's field has no residues mod prime.
 
-
-def poly_mod_p(poly, prime, root_map=None):
-    """Reduce coefficients mod prime; None when a denominator vanishes.
-
-    Fraction coefficients reduce directly.  The others reduce through
-    root_map: a quadratic-field coefficient a + b*sqrt(D) through the entry
-    for D, a residue r with r*r == D mod prime, and a cyclotomic coefficient
-    through the entry for its field, the residues of its power basis.  A
-    quadratic coefficient over a quadratic field (parts not rational) has
-    no image, so the reduction is undecided.
+    A coefficient c other than an int or Fraction maps to
+    sum(c.ints[m] * c.field.residues(prime)[m]) / c.den.
     """
-    root_map = root_map or {}
     out = []
     for c in poly.coeffs:
         if isinstance(c, (int, Fraction)):
             ints, den, images = (c.numerator,), c.denominator, (1,)
-        elif getattr(c, "D", None) is not None:
-            r = root_map.get(c.D)
-            ints, den = c.ints, c.den
-            images = (1, r) if r is not None and len(ints) == 2 else None
-        elif getattr(c, "field", None) in root_map:
-            ints, den, images = c.ints, c.den, root_map[c.field]
         else:
-            return None
+            ints, den, images = c.ints, c.den, c.field.residues(prime)
         if images is None or den % prime == 0:
             return None
         acc = sum(v * image for v, image in zip(ints, images))
@@ -424,62 +391,6 @@ _CERT_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
                 1000381, 1000621)
 
 
-def _primitive_root(prime):
-    """The smallest generator of the multiplicative group mod prime."""
-    m, q, factors = prime - 1, 2, []
-    while q * q <= m:
-        if m % q == 0:
-            factors.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        factors.append(m)
-    g = 2
-    while any(pow(g, (prime - 1) // f, prime) == 1 for f in factors):
-        g += 1
-    return g
-
-
-def _root_map_for(polys, prime):
-    """The root_map of poly_mod_p for all coefficients of polys, or None.
-
-    A square class D maps to a square root of D mod prime.  A cyclotomic
-    field of order n maps to the residues of its power basis, with zeta_n
-    sent to g^((prime-1)/n) for the generator g of _primitive_root: it has
-    exact order n, and nested orders get compatible images.  None when an
-    image does not exist mod prime, when a coefficient type has none, or
-    when a square class meets another class or a cyclotomic field, because
-    their images are chosen independently: they need not respect a
-    relation such as sqrt(12) = 2*sqrt(3) or sqrt(-5) = sqrt(5)*sqrt(-1),
-    nor the embedding of one field in the other.
-    """
-    rm = {}
-    for poly in polys:
-        for c in poly.coeffs:
-            if isinstance(c, (int, Fraction)):
-                continue
-            d = getattr(c, "D", None)
-            field = getattr(c, "field", None)
-            if d is not None:
-                if d not in rm:
-                    rm[d] = _mod_sqrt(d, prime)
-                    if rm[d] is None:
-                        return None
-            elif field is not None:
-                if field not in rm:
-                    if (prime - 1) % field.n:
-                        return None
-                    z = pow(_primitive_root(prime), (prime - 1) // field.n,
-                            prime)
-                    rm[field] = [pow(z, j, prime) for j in range(field.degree)]
-            else:
-                return None  # coefficient type without a modular image
-    if len(rm) > 1 and any(isinstance(key, int) for key in rm):
-        return None
-    return rm
-
-
 def certified_coprime(p, q, primes=_CERT_PRIMES):
     """True when a single good prime certifies gcd(p, q) constant.
 
@@ -488,16 +399,19 @@ def certified_coprime(p, q, primes=_CERT_PRIMES):
     proof of the converse, so None means undecided.  For an algebraic
     ground field the reduction is a ring map onto the prime field, which
     keeps the argument: the resultant of p and q maps to that of their
-    images, which is nonzero.
+    images, which is nonzero.  The reduction is a ring map only within one
+    field, so coefficients from two fields, whose residues are chosen
+    independently, are undecided.
     """
     if not p or not q:
         return False
+    fields = {getattr(c, "field", None) for c in p.coeffs + q.coeffs
+              if not isinstance(c, (int, Fraction))}
+    if len(fields) > 1 or None in fields:
+        return None
     for prime in primes:
-        rm = _root_map_for((p, q), prime)
-        if rm is None:
-            continue
-        a = poly_mod_p(p, prime, rm)
-        b = poly_mod_p(q, prime, rm)
+        a = poly_mod_p(p, prime)
+        b = poly_mod_p(q, prime)
         if a is None or b is None:
             continue
         if len(a) != len(p.coeffs) or len(b) != len(q.coeffs):

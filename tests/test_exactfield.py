@@ -414,6 +414,21 @@ def test_a_class_outside_the_ambient_field_raises_a_typed_error():
     assert len({x, QuadraticElement(1, 1, 7)}) == 1
 
 
+def test_an_element_outside_the_ambient_field_is_unequal_to_every_one_in_it():
+    x = QuadraticElement(1, 1, 7)
+    assert (ZETA == x) is False and (x == ZETA) is False
+    assert ZETA != x and x != ZETA
+    with pytest.raises(NotInAmbientField):
+        ZETA + x
+
+
+@pytest.mark.parametrize("inner, D", [(5, 5), (5, 20), (-1, -4)])
+def test_a_tower_over_its_own_square_class_is_rejected(inner, D):
+    # in Q(sqrt5)(sqrt5'), (sqrt5 - sqrt5') * (sqrt5 + sqrt5') = 0: no field
+    with pytest.raises(ValueError, match="own square class"):
+        QuadraticElement(QuadraticElement(0, 1, inner), -1, D)
+
+
 def test_quadratic_element_matches_ambient():
     x = QuadraticElement(Fraction(1, 2), Fraction(-3, 7), 5)
     y = QuadraticElement(2, Fraction(1, 3), 5)
@@ -668,9 +683,11 @@ def test_gaussian_elements_are_promoted_into_the_tower(t, g, f):
 @given(a=fraction_strategy, b=fraction_strategy)
 def test_equal_values_in_every_form_compare_and_hash_alike(D, a, b):
     x = QuadraticElement(a, b, D)
-    # the same value as a tower element over the fiber class
-    t = QuadraticElement(QuadraticElement(a, 0, FIBER_D),
-                         QuadraticElement(b, 0, FIBER_D), D)
+    # the same value as a tower element over the fiber class, or over
+    # sqrt5 for the fiber class itself, since a tower needs two classes
+    d = 5 if D == FIBER_D else FIBER_D
+    t = QuadraticElement(QuadraticElement(a, 0, d),
+                         QuadraticElement(b, 0, d), D)
     assert x == t and t == x and hash(x) == hash(t)
     assert lowest_terms(t, 4) and lowest_terms(x, 2)
     assert t.ints == (x.ints[0], 0, x.ints[1], 0) and t.den == x.den
@@ -682,7 +699,7 @@ def test_equal_values_in_every_form_compare_and_hash_alike(D, a, b):
     # a value built along two routes hashes alike
     y = QuadraticElement(b, a, D)
     assert hash(x * y) == hash(y * x) and hash((x + y) - y) == hash(x)
-    u = QuadraticElement(QuadraticElement(a, b, FIBER_D),
-                         QuadraticElement(b, a, FIBER_D), D)
+    u = QuadraticElement(QuadraticElement(a, b, d),
+                         QuadraticElement(b, a, d), D)
     assert (u + t) - t == u and hash((u + t) - t) == hash(u)
     assert hash(u * t) == hash(t * u) and u * t == t * u

@@ -18,8 +18,8 @@ from icosacurves.exactfield import OMEGA, QuadraticElement, cyclotomic_field
 from icosacurves.polyring import (
     Poly,
     RationalFunction,
+    _CERT_PRIMES,
     _bareiss_det,
-    _root_map_for,
     certified_coprime,
     clear_denominators,
     compose_rational,
@@ -241,18 +241,19 @@ def test_poly_mod_p_and_coprime_certificate():
 def test_poly_mod_p_quadratic_coefficients():
     i = QuadraticElement(0, 1, -1)
     p = Poly([i, 1])
-    # 13 = 1 mod 4, so -1 has a residue root
-    red = poly_mod_p(p, 13, {-1: 5})
-    assert red == [5, 1]
-    assert 5 * 5 % 13 == 13 - 1
+    # 13 = 1 mod 4, so -1 has a residue root, the image of i
+    red = poly_mod_p(p, 13)
+    assert red == [8, 1]
+    assert 8 * 8 % 13 == 13 - 1
 
 
-def test_tower_coefficients_fall_back_to_the_exact_gcd():
-    # a + b*i with a, b in Q(sqrt(5)) has no image mod p: undecided
+def test_coefficients_of_two_fields_fall_back_to_the_exact_gcd():
+    # t lies in the tower Q(sqrt(5))(i) and three in Q(i): the residues of
+    # the two fields are chosen apart, so the certificate is undecided
     t = QuadraticElement(QuadraticElement(1, 2, 5),
                          QuadraticElement(0, 1, 5), -1)
     three = QuadraticElement(3, 0, -1)
-    assert poly_mod_p(Poly([t, 1]), 13, {-1: 5}) is None
+    assert poly_mod_p(Poly([t, 1]), 13) is None  # 5 is no square mod 13
     assert certified_coprime(Poly([t, 1]), Poly([three, 1])) is None
     r = RationalFunction(Poly([t, 1]), Poly([three, 1]))
     assert r.num == Poly([t, 1]) and r.den == Poly([three, 1])
@@ -393,7 +394,7 @@ def test_certified_coprime_cyclotomic(p, h, r, c):
 def test_certified_coprime_cyclotomic_falls_through():
     zeta = Z60.zeta()
     prime = 1000081
-    (w,) = poly_mod_p(Poly([zeta]), prime, _root_map_for([Poly([zeta])], prime))
+    w = Z60.residues(prime)[1]
     assert pow(w, 60, prime) == 1
     assert all(pow(w, 60 // f, prime) != 1 for f in (2, 3, 5))
     q = Poly([zeta, 1])
@@ -433,6 +434,61 @@ def test_certified_coprime_refuses_two_square_classes(p, q):
 def test_certified_coprime_certifies_one_square_class():
     assert certified_coprime(Poly([-_root(3), 1]),
                              Poly([-_root(3, 2), 1])) is True
+
+
+def test_certified_coprime_certifies_one_tower():
+    s5 = QuadraticElement(0, 1, 5)
+    t = QuadraticElement(s5 + 1, s5, -1)  # (sqrt5 + 1) + sqrt5 i
+    u = QuadraticElement(3, s5, -1)       # 3 + sqrt5 i
+    assert t.field is u.field
+    assert certified_coprime(Poly([t, 1]), Poly([u, 1])) is True
+    assert certified_coprime(Poly([t, 1]) * Poly([u, 1]), Poly([u, 1])) is None
+    # against a coefficient of Q(sqrt5) itself: two fields, undecided
+    assert certified_coprime(Poly([t, 1]), Poly([s5, 1])) is None
+
+
+def _tower(cs):
+    return QuadraticElement(QuadraticElement(cs[0], cs[1], 5),
+                            QuadraticElement(cs[2], cs[3], 5), -1)
+
+
+# name: (coordinates per element, element from its coordinates, coordinates
+# of a root of unity of the field, its order)
+RESIDUE_FIELDS = {
+    "zeta5": (4, cyclotomic_field(5).element, [0, 1], 5),
+    "zeta15": (8, cyclotomic_field(15).element, [0, 1], 15),
+    "zeta60": (16, Z60.element, [0, 1], 60),
+    "sqrt-1": (2, lambda cs: QuadraticElement(*cs, -1), [0, 1], 4),
+    "sqrt5": (2, lambda cs: QuadraticElement(*cs, 5), [-1, 0], 2),
+    "sqrt-15": (2, lambda cs: QuadraticElement(*cs, -15), [-1, 0], 2),
+    "sqrt5-i": (4, _tower, [0, 0, 1, 0], 4),
+}
+
+
+def _residue(x, prime):
+    image, _ = poly_mod_p(Poly([x, 1]), prime)
+    return image
+
+
+@pytest.mark.parametrize("name", RESIDUE_FIELDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_residues_are_a_ring_map(name, data):
+    size, make, root, order = RESIDUE_FIELDS[name]
+    root = make(root)
+    primes = [p for p in _CERT_PRIMES if root.field.residues(p) is not None]
+    assert primes
+    coords = st.builds(lambda ints, den: [F(c, den) for c in ints],
+                       st.lists(st.integers(-20, 20), min_size=size,
+                                max_size=size), st.integers(1, 9))
+    x, y = make(data.draw(coords)), make(data.draw(coords))
+    for prime in primes:
+        rx, ry = _residue(x, prime), _residue(y, prime)
+        assert _residue(x * y, prime) == rx * ry % prime
+        assert _residue(x + y, prime) == (rx + ry) % prime
+        powers = [pow(_residue(root, prime), j, prime)
+                  for j in range(1, order + 1)]
+        assert powers.index(1) == order - 1
 
 
 def test_rref_and_nullspace():
