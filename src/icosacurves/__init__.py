@@ -62,7 +62,6 @@ from .invariants import (
     covariant_vanishing_checks,
     dihedral_invariants,
     invariant_set,
-    normal_form_symmetry_report,
     transvectant,
 )
 from .loci import (

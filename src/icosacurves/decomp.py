@@ -18,9 +18,8 @@ from .errors import (
     FactorMismatch,
     IdentityFailed,
 )
-from .exactfield import I_UNIT, QuadraticElement
+from .exactfield import QuadraticElement
 from .icosa import (
-    MoebiusMap,
     build_icosahedral_group,
     edge_form,
     face_form,
@@ -37,11 +36,6 @@ from .polyring import (
 )
 
 _GAUSS_I = QuadraticElement(0, 1, -1)
-
-
-def conjugation_to_even():
-    """The map x -> (ix + 1)/(-ix + 1) carrying two edge midpoints to 0, inf."""
-    return MoebiusMap(I_UNIT, 1, -I_UNIT, 1)
 
 
 @functools.cache

@@ -24,10 +24,6 @@ class DivisionByZero(IcosaError):
     """Inversion of the zero element of a field."""
 
 
-class NotInQuadraticSubfield(IcosaError):
-    """Element generates a subfield of degree above two."""
-
-
 class NotInAmbientField(IcosaError):
     """A square class whose root lies outside the ambient cyclotomic field."""
 

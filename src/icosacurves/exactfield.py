@@ -21,12 +21,10 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import (DivisionByZero, FactoringExhausted, NotInAmbientField,
-                     NotInQuadraticSubfield)
+from .errors import DivisionByZero, FactoringExhausted, NotInAmbientField
 from .polyring import Poly, clear_denominators, inverse_mod, solve_linear
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -62,11 +60,6 @@ def _cyclotomic_coefficients(n):
         if n % d == 0:
             poly = _intpoly_div_exact(poly, _cyclotomic_coefficients(d))
     return tuple(poly)
-
-
-def cyclotomic_polynomial(n):
-    """Ascending integer coefficients of the n-th cyclotomic polynomial."""
-    return list(_cyclotomic_coefficients(n))
 
 
 def _totient(n):
@@ -417,21 +410,6 @@ SQRT_BY_CLASS = {
 }
 
 
-def cyclo_arith(x, y, op):
-    """Field arithmetic on ambient elements; op in add/sub/mul/div."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if not y:
-            raise DivisionByZero("division by zero in the ambient field")
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ----------------------------------------------------------------------------
 # square roots in the ambient field (quadratic tower descent)
 # ----------------------------------------------------------------------------
@@ -671,28 +649,6 @@ class _QuadraticTower(QuadraticElement):
     of Q(sqrt(D)) on the left of an operator defers to it."""
 
     __slots__ = ()
-
-
-def embed_subfield(x):
-    """Express an ambient element inside Q or a quadratic subfield.
-
-    Returns a Fraction for rational input, a QuadraticElement for an element
-    of degree two, and raises otherwise.  The Galois group of the ambient
-    field is Z2 x Z2 x Z4, with seven subgroups of index two, so the seven
-    pinned roots span all of its quadratic subfields.
-    """
-    x = to_ambient(x)
-    if x.is_rational():
-        return x.rational_value()
-    for D, root in SQRT_BY_CLASS.items():
-        # x == a + b*root: 16 equations in the two unknowns a, b
-        rows = [[_ONE if i == 0 else _ZERO, c]
-                for i, c in enumerate(root.coeffs)]
-        sol = solve_linear(rows, x.coeffs)
-        if sol is not None:
-            return QuadraticElement(*sol, D)
-    raise NotInQuadraticSubfield(
-        "element generates a subfield of degree above two")
 
 
 # ----------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .polyring import (
     Poly,
     RationalFunction,
     clear_denominators,
-    compose_rational,
     interpolate,
     nullspace,
 )
@@ -98,11 +97,6 @@ class MoebiusMap:
                 return k
             acc = acc.compose(self)
         raise OrderTooLarge("order exceeds search bound", bound=bound)
-
-    def trace_sq_over_det(self):
-        """(a + d)^2 / (ad - bc); invariant under rescaling the matrix."""
-        t = self.a + self.d
-        return t * t * (self.a * self.d - self.b * self.c).inverse()
 
     def as_rational_function(self):
         return RationalFunction(Poly([self.b, self.a]), Poly([self.d, self.c]))
@@ -232,26 +226,6 @@ def syzygy_check():
 def invariant_map():
     """The degree-60 map with value 0 on faces and a pole on vertices."""
     return RationalFunction(*fiber_pair())
-
-
-def invariant_map_shifted():
-    """invariant_map - 1728, expressed through the edge form."""
-    t = edge_form()
-    return RationalFunction(-(t * t), fiber_pair()[1])
-
-
-# ----------------------------------------------------------------------------
-# invariance of a rational function under the group
-# ----------------------------------------------------------------------------
-
-def orbit_invariance_check(func, group):
-    """Exact check that func(g(x)) == func(x) for every g in the group.
-
-    Invariance under the two generators extends to the whole group, so only
-    those are tested, each by exact composition.
-    """
-    return all(compose_rational(func, g.as_rational_function()) == func
-               for g in group.generators)
 
 
 # ----------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import (
     NormalizationUndefined,
     OrderTooLarge,
 )
-from .exactfield import EPSILON3, QuadraticElement, to_ambient
+from .exactfield import QuadraticElement
 from .polyring import Poly, _inv, homogenize, primitive_part
 
 
@@ -314,45 +314,3 @@ def check_group_relation(u, genus=None):
     if plus_zero and not minus_zero:
         return "SL2_5"
     return "neither"
-
-
-def normal_form_symmetry_report(b, unit=None):
-    """Probe the coefficient symmetry a_i unit^i = a_(d-i) projectively.
-
-    The normal form is only defined up to rescaling x and a d-th root of
-    unity twist, so the symmetry is tested as the solvability of
-    b_i unit^i q^i K = b_(d-i) for a single pair (q, K); the product
-    q^d K^2 is the scale-invariant obstruction to realizing both from one
-    root.  All arithmetic happens in the ambient cyclotomic field since
-    the coefficients and the unit live in different quadratic subfields.
-    Returns a dict with keys consistent, q, K, obstruction.
-    """
-    if unit is None:
-        unit = EPSILON3
-    b = [to_ambient(x) for x in b]
-    d = len(b) - 1
-    if not b[0] or not b[d]:
-        raise DegenerateLeadingOrTrailing(
-            "leading or trailing even coefficient vanishes")
-    unit = to_ambient(unit)
-    K = b[d] * b[0].inverse()
-    q = None
-    for i in range(d):
-        if b[i] and b[i + 1] and b[d - i] and b[d - i - 1]:
-            q = (b[d - i - 1] * b[i]) * (b[d - i] * b[i + 1] * unit).inverse()
-            break
-    if q is None:
-        return {"consistent": False, "q": None, "K": None,
-                "obstruction": None}
-    consistent = True
-    upow = to_ambient(1)
-    qpow = upow
-    for i in range(d + 1):
-        if (b[i] * upow * qpow * K) != b[d - i]:
-            consistent = False
-            break
-        upow = upow * unit
-        qpow = qpow * q
-    obstruction = q ** d * K * K if consistent else None
-    return {"consistent": consistent, "q": q, "K": K,
-            "obstruction": obstruction}

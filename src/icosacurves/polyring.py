@@ -62,6 +62,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its coefficient, which it compares equal to
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -111,6 +114,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
         result = Poly([1])
         base = self
         while k:
@@ -320,25 +325,6 @@ def sylvester_matrix(pc, qc):
     return rows
 
 
-def resultant(p, q):
-    """Resultant of two Fraction-coefficient polynomials.
-
-    Sylvester determinant with the rows of the first polynomial on top:
-    resultant(x - a, x - b) == a - b.
-    """
-    if not p or not q:
-        return Fraction(0)
-    m, n = p.degree, q.degree
-    if m == 0:
-        return Fraction(p.coeffs[0]) ** n
-    if n == 0:
-        return Fraction(q.coeffs[0]) ** m
-    pi, pa = clear_denominators(p.coeffs)
-    qi, qa = clear_denominators(q.coeffs)
-    det = _bareiss_det(sylvester_matrix(pi, qi))
-    return Fraction(det) / (Fraction(pa) ** n * Fraction(qa) ** m)
-
-
 # ----------------------------------------------------------------------------
 # modular reductions and squarefree certification
 # ----------------------------------------------------------------------------
@@ -476,6 +462,9 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
+        # over denominator 1 it equals, and so hashes as, its numerator
+        if not self.den.degree:
+            return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __add__(self, other):

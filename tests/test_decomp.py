@@ -10,7 +10,6 @@ from icosacurves.decomp import (
     conjugated_edge_identity,
     conjugated_face_form,
     conjugated_vertex_form,
-    conjugation_to_even,
     inner_cubic_decomposition,
     left_factor,
     transported_invariant_map,
@@ -18,9 +17,9 @@ from icosacurves.decomp import (
     verify_conjugated_identities,
 )
 from icosacurves.errors import ConstantInner, DegreeMismatch
-from icosacurves.exactfield import QuadraticElement
+from icosacurves.exactfield import I_UNIT, QuadraticElement
 from icosacurves.fixtures import load_fixtures
-from icosacurves.icosa import invariant_map
+from icosacurves.icosa import MoebiusMap, invariant_map
 from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
 F = Fraction
@@ -56,7 +55,7 @@ def test_transported_map_samples():
     # the transported map must equal the plain map after the substitution
     t = transported_invariant_map()
     phi = invariant_map()
-    sigma = conjugation_to_even()
+    sigma = MoebiusMap(I_UNIT, 1, -I_UNIT, 1)   # x -> (ix + 1)/(-ix + 1)
     for x0 in (F(2), F(1, 3), F(-5)):
         pre = sigma.inverse().apply(x0)
         expect = phi(pre)

@@ -19,7 +19,6 @@ from icosacurves.errors import (
     FactoringExhausted,
     IcosaError,
     NotInAmbientField,
-    NotInQuadraticSubfield,
 )
 from icosacurves.exactfield import (
     AlgebraicNumber,
@@ -35,11 +34,8 @@ from icosacurves.exactfield import (
     SQRT_BY_CLASS,
     THETA,
     ZETA,
-    cyclo_arith,
     cyclo_sqrt,
     cyclotomic_field,
-    cyclotomic_polynomial,
-    embed_subfield,
     rational_square_root,
     squarefree_part,
     to_ambient,
@@ -81,13 +77,13 @@ def brute_cyclotomic(n):
 def test_cyclotomic_polynomial_order_60():
     # x^16 + x^14 - x^10 - x^8 - x^6 + x^2 + 1
     expected = [1, 0, 1, 0, 0, 0, -1, 0, -1, 0, -1, 0, 0, 0, 1, 0, 1]
-    assert cyclotomic_polynomial(60) == expected
+    assert list(cyclotomic_field(60).modulus) == expected
     assert brute_cyclotomic(60) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 15, 20, 30, 60])
 def test_cyclotomic_polynomial_matches_oracle(n):
-    assert cyclotomic_polynomial(n) == brute_cyclotomic(n)
+    assert list(cyclotomic_field(n).modulus) == brute_cyclotomic(n)
 
 
 def test_zeta_order():
@@ -121,9 +117,9 @@ def test_golden_section_relation():
 
 def test_i_unit():
     assert I_UNIT * I_UNIT == -1
-    assert SQRT3 * SQRT3 == 3
-    assert SQRTM3 * SQRTM3 == -3
     assert SQRT15 == SQRT3 * SQRT5
+    for d, r in SQRT_BY_CLASS.items():
+        assert r * r == d
 
 
 def test_pinned_roots_numerically():
@@ -146,12 +142,6 @@ def test_inverse_round_trip():
     assert x * x.inverse() == 1
     with pytest.raises(DivisionByZero):
         AlgebraicNumber().inverse()
-
-
-def test_cyclo_arith_div_by_zero():
-    with pytest.raises(DivisionByZero):
-        cyclo_arith(ZETA, AlgebraicNumber(), "div")
-    assert cyclo_arith(ZETA, ZETA, "sub") == 0
 
 
 coeff_strategy = st.integers(min_value=-9, max_value=9)
@@ -178,7 +168,7 @@ def test_inverse_of_nonzero(a):
 
 def schoolbook_product(n, a, b):
     """Oracle: Fraction convolution, then long division by the monic Phi_n."""
-    mod = cyclotomic_polynomial(n)
+    mod = list(cyclotomic_field(n).modulus)
     d = len(mod) - 1
     conv = [Fraction(0)] * (2 * d - 1)
     for i, x in enumerate(a):
@@ -226,26 +216,6 @@ def test_subfield_round_trip():
     assert to_subfield(ZETA, 5) is None
     assert to_subfield(ZETA, 4) is None
     assert to_subfield(to_ambient(f5.zeta(1)), 5) == f5.zeta(1)
-
-
-def test_embed_subfield_golden_section():
-    q = embed_subfield(OMEGA)
-    assert (q.a, q.b, q.D) == (Fraction(-1, 2), Fraction(1, 2), 5)
-
-
-def test_embed_subfield_rational():
-    assert embed_subfield(AlgebraicNumber([Fraction(3, 4)])) == Fraction(3, 4)
-
-
-def test_embed_subfield_rejects_high_degree():
-    with pytest.raises(NotInQuadraticSubfield):
-        embed_subfield(ZETA)
-
-
-def test_embed_subfield_all_pinned_roots():
-    for d, r in SQRT_BY_CLASS.items():
-        q = embed_subfield(r)
-        assert (q.a, q.b, q.D) == (0, 1, d)
 
 
 def test_cyclo_sqrt_known_values():

@@ -22,16 +22,20 @@ from icosacurves.icosa import (
     face_form,
     first_nonconstant_symmetric_function,
     invariant_map,
-    invariant_map_shifted,
     moebius_equivalence,
     normalize_element_to_scaling,
-    orbit_invariance_check,
     syzygy_check,
     vertex_form,
 )
-from icosacurves.polyring import Poly, RationalFunction
+from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
 F = Fraction
+
+
+def orbit_invariance_check(func, group):
+    """Oracle: func(g(x)) == func(x) for both generators, hence the group."""
+    return all(compose_rational(func, g.as_rational_function()) == func
+               for g in group.generators)
 
 
 def test_group_order_and_profile():
@@ -95,8 +99,6 @@ def test_invariant_map_shape():
     assert phi.mapped_degree() == 60
     assert phi.num.degree == 60
     assert phi.den.degree == 55
-    shifted = invariant_map_shifted()
-    assert shifted == phi - 1728
 
 
 def test_invariant_map_orbit_invariance():
@@ -273,11 +275,3 @@ def test_moebius_equivalence_synthetic():
     assert moebius_equivalence(
         RationalFunction(Poly([0, F(1)])),
         RationalFunction(Poly([0, 0, F(1)]))) is None
-
-
-def test_trace_sq_over_det_conjugation_invariant():
-    g = build_icosahedral_group()
-    el = next(x for x in g.elements if x.order() == 5)
-    conj = MoebiusMap(1, 2, 0, 1)
-    moved = conj.compose(el).compose(conj.inverse())
-    assert el.trace_sq_over_det() == moved.trace_sq_over_det()

@@ -11,7 +11,7 @@ from icosacurves.errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from icosacurves.exactfield import EPSILON3, QuadraticElement
+from icosacurves.exactfield import QuadraticElement
 from icosacurves.families import (
     _powers,
     curve_equation,
@@ -26,7 +26,6 @@ from icosacurves.invariants import (
     covariant_vanishing_checks,
     dihedral_invariants,
     invariant_set,
-    normal_form_symmetry_report,
     transvectant,
 )
 from icosacurves.polyring import Poly, RationalFunction
@@ -314,21 +313,6 @@ def test_recover_rejects_bad_shape():
     u = dihedral_invariants(b)
     with pytest.raises(ValueError):
         symmetric_from_dihedral(u, 1)
-
-
-def test_normal_form_symmetry_on_family_curve():
-    cur = curve_equation(29, [F(7)], "x2")
-    rep = normal_form_symmetry_report(even_model(cur))
-    assert rep["consistent"] and rep["obstruction"] == 1
-    # the probe cannot see which cube root was used: the twist absorbs it
-    rep2 = normal_form_symmetry_report(even_model(cur), EPSILON3 * EPSILON3)
-    assert rep2["consistent"] and rep2["obstruction"] == 1
-
-
-def test_normal_form_symmetry_rejects_generic():
-    b = [F(1), F(2), F(3), F(4), F(5), F(6), F(7)]
-    rep = normal_form_symmetry_report(b)
-    assert not rep["consistent"]
 
 
 def test_record_types_are_immutable_named_records():

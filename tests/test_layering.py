@@ -2,11 +2,13 @@
 
 The order, lowest first, is the one the README's layout lists.  Relative
 imports inside functions count too, so a deferred import cannot hide a
-cycle.
+cycle.  Every public function or class has a caller outside the tests.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
@@ -74,3 +76,37 @@ def test_cached_objects_are_shared():
              QuadraticElement(3, root5, -1))
     assert tower[0].field is tower[1].field is (tower[0] / tower[1]).field
     assert build_locus(3) is build_locus(3)
+
+
+BENCHMARK = PACKAGE.parent.parent / "benchmark"
+
+
+def _referenced_names(node):
+    """The names a statement loads, reads as an attribute or imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name)
+    return found
+
+
+def test_every_public_function_has_a_caller():
+    # a public name that only tests reach is surface that no command, no
+    # pipeline step and no benchmark span needs
+    statements = [(path.stem, stmt) for path in PACKAGE.glob("*.py")
+                  for stmt in ast.parse(path.read_text()).body]
+    found = [_referenced_names(stmt) for _, stmt in statements]
+    # in how many top-level statements of the package each name occurs
+    uses = collections.Counter(name for names in found for name in names)
+    bench = "\n".join(p.read_text() for p in BENCHMARK.glob("*.py"))
+    unused = [f"{module}.{stmt.name}"
+              for (module, stmt), names in zip(statements, found)
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_")
+              and uses[stmt.name] == (stmt.name in names)
+              and not re.search(rf"\b{stmt.name}\b", bench)]
+    assert sorted(unused) == []

@@ -30,7 +30,6 @@ from icosacurves.polyring import (
     nullspace,
     poly_mod_p,
     primitive_part,
-    resultant,
     rref,
     solve_linear,
     sylvester_matrix,
@@ -48,6 +47,55 @@ def test_poly_basic_ops():
     assert p(2) == 1 + 4 + 12
     assert p.degree == 2
     assert Poly([0, 0]).degree == -1
+
+
+def test_negative_power_of_a_poly_raises():
+    # squaring with k >>= 1 would never reach 0 from a negative k
+    with pytest.raises(ValueError):
+        Poly([1, 1]) ** -1
+    assert Poly([1, 1]) ** 0 == Poly([1])
+
+
+def _one_value_in_every_type(coeffs, cofactor):
+    """The polynomial with these coefficients as a Poly, as a rational
+    function over 1 and over the cofactor cancelled, and, when constant,
+    as a Fraction and an int if integral."""
+    p = Poly(coeffs)
+    forms = [p, RationalFunction(p), RationalFunction(p * cofactor, cofactor)]
+    if p.degree <= 0:
+        c = F(p.coeffs[0]) if p else F(0)
+        forms += [c] + ([int(c)] if c.denominator == 1 else [])
+    return forms
+
+
+small_fractions = st.lists(st.fractions(min_value=-4, max_value=4,
+                                        max_denominator=3), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fractions, small_fractions,
+       small_fractions.filter(any).map(Poly))
+@example([F(3)], [F(1), F(1)], Poly([F(1), F(2)]))
+@example([], [F(1, 2)], Poly([F(-1), F(0), F(1)]))
+def test_equal_values_compare_and_hash_alike_across_types(a, b, cofactor):
+    def trimmed(cs):
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    same = trimmed(a) == trimmed(b)
+    forms = [(0, x) for x in _one_value_in_every_type(a, cofactor)]
+    forms += [(1, y) for y in _one_value_in_every_type(b, cofactor)]
+    for i, x in forms:
+        for j, y in forms:
+            assert (x == y) == (i == j or same)
+            if x == y:
+                assert hash(x) == hash(y)
+    assert len({x for _, x in forms}) == (1 if same else 2)
+    for k in (0, 1):
+        members = {x for i, x in forms if i == k}
+        assert all((x in members) == (i == k or same) for i, x in forms)
 
 
 def test_poly_divmod():
@@ -149,6 +197,16 @@ def sylvester_det(p, q):
     rows = [[F(0)] * i + pd + [F(0)] * (n - 1 - i) for i in range(n)]
     rows += [[F(0)] * i + qd + [F(0)] * (m - 1 - i) for i in range(m)]
     return naive_det(rows)
+
+
+def resultant(p, q):
+    """Res(p, q) of Fraction polynomials of degree at least 1 through the
+    elimination kernel: _bareiss_det of the integer Sylvester matrix, the
+    rows of p on top, so that Res(x - a, x - b) == a - b."""
+    pi, pa = clear_denominators(p.coeffs)
+    qi, qa = clear_denominators(q.coeffs)
+    det = _bareiss_det(sylvester_matrix(pi, qi))
+    return F(det) / (F(pa) ** q.degree * F(qa) ** p.degree)
 
 
 def test_resultant_known_values():
