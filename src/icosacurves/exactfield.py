@@ -387,10 +387,7 @@ def _Z(k):
     return AlgebraicNumber(cyclotomic_field(60).zeta(k).coeffs)
 
 
-ZETA = _Z(1)
 I_UNIT = _Z(15)                       # the square root of -1 with positive imaginary part
-EPSILON5 = _Z(12)                     # primitive 5th root, smallest positive argument
-EPSILON3 = _Z(40)                     # primitive cube root with negative imaginary part
 OMEGA = _Z(12) + _Z(48)               # (-1 + sqrt5)/2, the golden-section cosine
 THETA = _Z(12) - _Z(48)               # purely imaginary generator of Q(zeta5) over Q(sqrt5)
 

@@ -264,10 +264,13 @@ def dihedral_invariants(b):
     Normalizing y^2 = sum b_j x^(2j) to leading and constant term one
     introduces a d-th root; in u_i every root exponent cancels, giving
 
-        u_i = (b_1/b_0)^(d-i) (b_i/b_0) (b_0/b_d)
-            + (b_(d-1)/b_0)^(d-i) (b_(d-i)/b_0) (b_0/b_d)^(d-i)
+        u_i = (b_1/b_0)^(d-i) (b_i/b_d) + (b_(d-1)/b_d)^(d-i) (b_(d-i)/b_0)
 
-    entirely inside the coefficient field.
+    entirely inside the coefficient field.  Only these two ratio powers
+    run from i = d - 1 down.  Splitting the second as
+    (b_(d-1)/b_0)^(d-i) (b_0/b_d)^(d-i) would keep a third power: two
+    factors whose heights grow with d - i while their product stays
+    small, so every step would pay a big-number gcd to cancel them.
     """
     b = list(b)
     d = len(b) - 1
@@ -276,19 +279,14 @@ def dihedral_invariants(b):
     if b[0] == 0 or b[d] == 0:
         raise DegenerateLeadingOrTrailing(
             "leading or trailing even coefficient vanishes")
-    inv0 = _inv(b[0])
-    low = b[1] * inv0
-    high = b[d - 1] * inv0
-    ratio = b[0] * _inv(b[d])
-    # running powers low^(d-i), high^(d-i), ratio^(d-i) from i = d-1 down
-    low_pow, high_pow, ratio_pow = low, high, ratio
+    inv0, invd = _inv(b[0]), _inv(b[d])
+    low, high = b[1] * inv0, b[d - 1] * invd
+    low_pow, high_pow = low, high
     vals = []
     for i in range(d - 1, 0, -1):
-        first = low_pow * (b[i] * inv0) * ratio
-        second = high_pow * (b[d - i] * inv0) * ratio_pow
-        vals.append(_demote(first + second))
-        low_pow, high_pow, ratio_pow = (low_pow * low, high_pow * high,
-                                        ratio_pow * ratio)
+        vals.append(_demote(low_pow * (b[i] * invd)
+                            + high_pow * (b[d - i] * inv0)))
+        low_pow, high_pow = low_pow * low, high_pow * high
     return DihedralInvariants(d=d, values=tuple(reversed(vals)))
 
 

@@ -394,13 +394,11 @@ def rational_model(u, group=None):
     desc = classify_genus(g)
     if desc.group != group:
         raise NotInLocus("group does not match the genus", genus=g)
-    even = [2]
-    for k in range(1, d):
-        even.append(u.u(d - k))
-    even.append(u.u(1))
-    f = Poly([0])
-    for k, c in enumerate(even):
-        f = f + Poly([c]).shifted(2 * k)
+    # 2, u_(d-1), ..., u_1, u_1 at x^0, x^2, ..., x^(2d); a vanishing u_i
+    # is stored as the int 0 of the odd slots
+    coeffs = [0] * (2 * d + 1)
+    coeffs[::2] = [c or 0 for c in (2, *reversed(u.values), u.u(1))]
+    f = Poly(coeffs)
     if group == "SL2_5":
         f = f.shifted(1)
     return CurveModel(f=f, genus=g, model="x2", case=desc, params=[])

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction as F
 
 from icosacurves.decomp import conjugated_edge_identity, verify_conjugated_identities
-from icosacurves.errors import NotInLocus
 from icosacurves.exactfield import QuadraticElement
 from icosacurves.families import (
     classify_genus,

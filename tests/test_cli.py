@@ -234,6 +234,11 @@ QUADRATIC_RECORD = {
         0, "f8f225f573224a30f495398c28273b88e5d7ced2076a815a255a6ef067c8aa9e"),
     "model --case 5 --fiber 2": (
         0, "df9bddc9b313c210e88ab1ebe0c39af3bbd61a054c945c0aa08058b44d1e92b2"),
+    # big height: u_1 of the genus-60 model is thousands of bits long
+    "invariants --genus 60 --lambda 987653/912347 --dihedral": (
+        0, "c3f7a3173b400c75022b547cb0a8f2ce181b148fe23c6bd394b631b7e133bcf2"),
+    "model --genus 60 --lambda 987653/912347": (
+        0, "deeb73f79c4d47f35dd6c5d24a0dd3c3d389033613ebdf60d047c70bf0b6e9c9"),
 }
 
 

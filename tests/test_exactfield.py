@@ -22,8 +22,6 @@ from icosacurves.errors import (
 )
 from icosacurves.exactfield import (
     AlgebraicNumber,
-    EPSILON3,
-    EPSILON5,
     I_UNIT,
     OMEGA,
     QuadraticElement,
@@ -33,7 +31,6 @@ from icosacurves.exactfield import (
     SQRTM3,
     SQRT_BY_CLASS,
     THETA,
-    ZETA,
     cyclo_sqrt,
     cyclotomic_field,
     rational_square_root,
@@ -47,6 +44,16 @@ from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import build_icosahedral_group
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _zeta60(k):
+    """zeta_60^k as an ambient element."""
+    return AlgebraicNumber(cyclotomic_field(60).zeta(k).coeffs)
+
+
+ZETA = _zeta60(1)
+EPSILON5 = _zeta60(12)  # primitive 5th root, smallest positive argument
+EPSILON3 = _zeta60(40)  # primitive cube root, negative imaginary part
 
 
 def brute_cyclotomic(n):

@@ -11,7 +11,7 @@ from icosacurves.errors import (
     OrderTooLarge,
     ParabolicElement,
 )
-from icosacurves.exactfield import EPSILON5, I_UNIT, ZETA, cyclotomic_field
+from icosacurves.exactfield import AlgebraicNumber, I_UNIT, cyclotomic_field
 from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import (
     IcosahedralGroup,
@@ -30,6 +30,8 @@ from icosacurves.icosa import (
 from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
 F = Fraction
+ZETA = AlgebraicNumber(cyclotomic_field(60).zeta(1).coeffs)
+EPSILON5 = ZETA ** 12  # primitive 5th root, smallest positive argument
 
 
 def orbit_invariance_check(func, group):

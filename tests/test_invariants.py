@@ -239,6 +239,55 @@ def test_dihedral_branch_choice_cancels():
     assert dihedral_invariants(scaled).values == dihedral_invariants(b).values
 
 
+def three_power_dihedral(b):
+    """Oracle: u_1 ... u_(d-1) from the three powers low^k, high^k and
+    ratio^k, k = d - i, of low = b_1/b_0, high = b_(d-1)/b_0 and
+    ratio = b_0/b_d, each raised afresh, demoted as the package does."""
+    d = len(b) - 1
+    low, high, ratio = b[1] / b[0], b[d - 1] / b[0], b[0] / b[d]
+    vals = []
+    for i in range(1, d):
+        k = d - i
+        v = (low ** k * (b[i] / b[0]) * ratio
+             + high ** k * (b[d - i] / b[0]) * ratio ** k)
+        vals.append(v.a if isinstance(v, QuadraticElement) and v.b == 0
+                    else v)
+    return tuple(vals)
+
+
+def even_coefficients(entries, max_size):
+    """Coefficient lists b_0 ... b_d, 2 <= d < max_size, b_0 b_d != 0."""
+    nonzero = entries.filter(bool)
+    return st.tuples(nonzero, st.lists(entries, min_size=1,
+                                       max_size=max_size - 2),
+                     nonzero).map(lambda t: [t[0], *t[1], t[2]])
+
+
+gaussians = st.builds(QuadraticElement, rationals, rationals, st.just(-1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(even_coefficients(rationals, 40),
+                 even_coefficients(gaussians, 12)))
+def test_dihedral_matches_the_three_power_oracle(b):
+    got = dihedral_invariants(b).values
+    want = three_power_dihedral(b)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@settings(max_examples=50, deadline=None)
+@given(even_coefficients(rationals, 40), nonzero_rationals,
+       nonzero_rationals)
+def test_dihedral_invariant_under_scaling_and_weights(b, c, t):
+    # u(c t^j b_j) = u(b): the overall scale and x -> t^(1/2) x cancel
+    scaled = [c * t ** j * x for j, x in enumerate(b)]
+    assert dihedral_invariants(scaled).values == dihedral_invariants(b).values
+
+
 def test_dihedral_degenerate_ends():
     with pytest.raises(DegenerateLeadingOrTrailing):
         dihedral_invariants([F(0), F(1), F(2)])

@@ -2,7 +2,8 @@
 
 The order, lowest first, is the one the README's layout lists.  Relative
 imports inside functions count too, so a deferred import cannot hide a
-cycle.  Every public function or class has a caller outside the tests.
+cycle.  Every public function, class or module constant has a caller
+outside the tests.
 """
 
 import ast
@@ -94,19 +95,29 @@ def _referenced_names(node):
     return found
 
 
+def _bound_names(stmt):
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [n.id for t in stmt.targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_public_function_has_a_caller():
     # a public name that only tests reach is surface that no command, no
-    # pipeline step and no benchmark span needs
+    # pipeline step and no benchmark span needs; module constants count
     statements = [(path.stem, stmt) for path in PACKAGE.glob("*.py")
                   for stmt in ast.parse(path.read_text()).body]
     found = [_referenced_names(stmt) for _, stmt in statements]
     # in how many top-level statements of the package each name occurs
     uses = collections.Counter(name for names in found for name in names)
     bench = "\n".join(p.read_text() for p in BENCHMARK.glob("*.py"))
-    unused = [f"{module}.{stmt.name}"
+    unused = [f"{module}.{name}"
               for (module, stmt), names in zip(statements, found)
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-              and not stmt.name.startswith("_")
-              and uses[stmt.name] == (stmt.name in names)
-              and not re.search(rf"\b{stmt.name}\b", bench)]
+              for name in _bound_names(stmt)
+              if not name.startswith("_")
+              and uses[name] == (name in names)
+              and not re.search(rf"\b{name}\b", bench)]
     assert sorted(unused) == []

@@ -14,7 +14,7 @@ from icosacurves.errors import (
     InconsistentData,
     ZeroPolynomial,
 )
-from icosacurves.exactfield import OMEGA, QuadraticElement, cyclotomic_field
+from icosacurves.exactfield import QuadraticElement, cyclotomic_field
 from icosacurves.polyring import (
     Poly,
     RationalFunction,
