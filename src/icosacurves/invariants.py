@@ -9,6 +9,7 @@ group.  This module imports no other part of the package but errors,
 exactfield and polyring.
 """
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -100,44 +101,66 @@ def transvectant(f, h, r):
     """The r-th transvection of two binary forms.
 
     Normalization: ((m-r)! (n-r)! / (m! n!)) times the alternating sum of
-    mixed r-th partial products.  Degree m + n - 2r.  With A[t] =
-    c_t t! (m-t)!, slot i of d^r f / dX^(r-k) dY^k is A[i+k] / ((m-r-i)! i!),
-    so slot i + j gains C(m-r, i) C(n-r, j) times a column dot product.
+    mixed r-th partial products, degree m + n - 2r.  The sum runs on the
+    coefficients times the gcd-reduced weights t! (m-t)! / g, and the one
+    rational scale g_f g_h / (m! n!) multiplies the result last.
     """
-    m, n = f.degree, h.degree
+    scale, out = _transvect(f.coeffs, h.coeffs, r)
+    return BinaryForm(len(out) - 1, (c * scale for c in out))
+
+
+def _transvect(fc, hc, r):
+    """(scale, out) with (f, h)_r == scale * out for coefficient sequences.
+
+    With A[t] = c_t t! (m-t)! / g, slot i of d^r f / dX^(r-k) dY^k is
+    g A[i+k] / ((m-r-i)! i!), so slot i + j gains C(m-r, i) C(n-r, j)
+    times a column dot product.  out keeps the coefficient type: integer
+    coefficients give an integer vector.  Pass one object as both
+    sequences for a self-transvectant.
+    """
+    m, n = len(fc) - 1, len(hc) - 1
     if r < 0 or r > min(m, n):
         raise OrderTooLarge("transvection order exceeds a form degree",
                             order=r, degrees=(m, n))
     # (f, h)_r = (-1)^r (h, f)_r: sign the columns of the smaller form
     flip = n < m
     if flip:
-        f, h, m, n = h, f, n, m
-    fcols = _partial_columns(f, r)
-    hcols = [col[::-1] for col in
-             (fcols if h is f else _partial_columns(h, r))]
-    signs = [(-1) ** k * math.comb(r, k) for k in range(r + 1)]
-    fcols = [list(map(mul, signs, col)) for col in fcols]
+        fc, hc, m, n = hc, fc, n, m
+    weights, fscale, signs, fbinom = _tables(m, r)
+    fa = list(map(mul, fc, weights))
+    if hc is fc:
+        ha, hscale, hbinom = fa, fscale, fbinom
+    else:
+        weights, hscale, _, hbinom = _tables(n, r)
+        ha = list(map(mul, hc, weights))
+    hcols = [ha[j:j + r + 1][::-1] for j in range(n - r + 1)]
+    fcols = [list(map(mul, signs, fa[i:i + r + 1])) for i in range(m - r + 1)]
     # for h is f the pair (j, i) repeats (i, j) up to the sign (-1)^r
-    symmetric = h is f and r % 2 == 0
-    binom = [math.comb(n - r, j) for j in range(n - r + 1)]
+    symmetric = hc is fc and r % 2 == 0
     out = [0] * (m + n - 2 * r + 1)
-    for i, fc in enumerate(fcols):
-        weight = math.comb(m - r, i)
+    for i, col in enumerate(fcols):
+        weight = fbinom[i]
         for j in range(i if symmetric else 0, n - r + 1):
-            s = sum(map(mul, fc, hcols[j])) * (weight * binom[j])
+            s = sum(map(mul, col, hcols[j])) * (weight * hbinom[j])
             out[i + j] += s + s if symmetric and j > i else s
-    lead = Fraction((-1) ** (r * flip), math.factorial(m) * math.factorial(n))
-    return BinaryForm(m + n - 2 * r, (c * lead for c in out))
+    scale = fscale * hscale
+    return (-scale if r * flip % 2 else scale), out
 
 
-def _partial_columns(f, r):
-    # column i is A[i .. i+r], A[t] = c_t t! (n-t)!: slot i of d^r f /
-    # dX^(r-k) dY^k for k = 0 .. r, times (n-r-i)! i!, without r-fold
-    # repeated differentiation
-    n = f.degree
+@functools.cache
+def _tables(n, r):
+    """(weights, scale, signs, binom) for a degree-n form at order r.
+
+    weights[t] = t! (n-t)! / g with g their gcd, scale = g / n!,
+    signs[k] = (-1)^k C(r, k) and binom[i] = C(n-r, i).  Dividing by g
+    shortens the weights: at n = 122 from 675 bits to at most 166.
+    """
     fact = list(accumulate(range(1, n + 1), mul, initial=1))
-    a = [c * (fact[t] * fact[n - t]) for t, c in enumerate(f.coeffs)]
-    return [a[i:i + r + 1] for i in range(n - r + 1)]
+    weights = [fact[t] * fact[n - t] for t in range(n + 1)]
+    g = math.gcd(*weights)
+    return (tuple(w // g for w in weights), Fraction(g, fact[n]),
+            tuple((-1) ** k * math.comb(r, k) for k in range(r + 1)),
+            tuple(math.comb(n - r, i) for i in range(n - r + 1)))
 
 
 class InvariantSet(namedtuple("InvariantSet",
@@ -158,23 +181,39 @@ class InvariantSet(namedtuple("InvariantSet",
         return (self.i1, self.i2, self.i3, self.i4)
 
 
-def _primitive(form):
-    """(scalar, rescaled form) with integer, content-free coefficients.
+def _primitive(coeffs):
+    """(scalar, coefficients): integer, content-free ones for rationals.
 
     Exotic coefficient types pass through untouched with scalar one; the
     point is to keep the transvectant inner loops on machine integers.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in form.coeffs):
-        return Fraction(1), form
-    content, ints = primitive_part(form.coeffs)
-    return content, BinaryForm(form.degree, ints)
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return Fraction(1), coeffs
+    return primitive_part(coeffs)
+
+
+def _covariant(f, h, r):
+    """(f, h)_r as a (scalar, content-free coefficients) pair, from two
+    such pairs; pass one pair twice for a self-transvectant."""
+    (sf, fc), (sh, hc) = f, h
+    scale, out = _transvect(fc, hc, r)
+    s, out = _primitive(out)
+    return sf * sh * scale * s, out
+
+
+def _self_value(form, r):
+    """The constant (form, form)_r of a (scalar, coefficients) pair."""
+    s, coeffs = form
+    scale, [c] = _transvect(coeffs, coeffs, r)
+    return s * s * scale * c
 
 
 def invariant_set(f, genus):
     """Classical invariants of y^2 = f(x) at the given genus.
 
     An odd-degree f is homogenized with one root at infinity so the form
-    degree is always d = 2*genus + 2.
+    degree is always d = 2*genus + 2.  Each covariant of the chain is kept
+    as one rational scalar times content-free integers.
     """
     d = 2 * genus + 2
     if d < 12:
@@ -182,21 +221,15 @@ def invariant_set(f, genus):
                              degree=d)
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    sF, F = _primitive(BinaryForm.from_poly(f, d))
-    I2 = sF ** 2 * transvectant(F, F, d).constant_value()
-    sJ, J12 = _primitive(transvectant(F, F, d - 6))
-    sJ = sF ** 2 * sJ
-    I4 = sJ ** 2 * transvectant(J12, J12, 12).constant_value()
-    sG, G = _primitive(transvectant(F, J12, 12))
-    sG = sF * sJ * sG
-    I6 = sG ** 2 * transvectant(G, G, d - 12).constant_value()
+    F = _primitive(BinaryForm.from_poly(f, d).coeffs)
+    I2 = _self_value(F, d)
+    J12 = _covariant(F, F, d - 6)
+    I4 = _self_value(J12, 12)
+    I6 = _self_value(_covariant(F, J12, 12), d - 12)
     I6star = None
     if d >= 20:
-        sK, J20 = _primitive(transvectant(F, F, d - 10))
-        sK = sF ** 2 * sK
-        sH, H = _primitive(transvectant(F, J20, 20))
-        sH = sF * sK * sH
-        I6star = sH ** 2 * transvectant(H, H, d - 20).constant_value()
+        H = _covariant(F, _covariant(F, F, d - 10), 20)
+        I6star = _self_value(H, d - 20)
     i1 = i2 = i3 = i4 = None
     if I2 != 0:
         sq = I2 * I2
@@ -222,16 +255,11 @@ def covariant_vanishing_checks(f, genus):
     d = 2 * genus + 2
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    sF, F = _primitive(BinaryForm.from_poly(f, d))
+    F = _primitive(BinaryForm.from_poly(f, d).coeffs)
     out = {}
     for s in (4, 8, 16, 28):
         r = d - s // 2
-        if r < 0:
-            out[s] = None
-            continue
-        sJ, J = _primitive(transvectant(F, F, r))
-        sJ = sF ** 2 * sJ
-        out[s] = sJ ** 2 * transvectant(J, J, s).constant_value()
+        out[s] = None if r < 0 else _self_value(_covariant(F, F, r), s)
     return out
 
 

@@ -46,6 +46,7 @@ from .polyring import (
     inverse_mod,
     is_squarefree_certified,
     primitive_part,
+    pseudo_remainder,
     sylvester_matrix,
 )
 
@@ -64,16 +65,19 @@ SingularFiber = namedtuple("SingularFiber", "kind q D d_table")
 _SAMPLE_COUNT = 25
 
 
-def _sample_values(count):
+def _sample_values(count, lead=None):
+    """The first count of 1, -1, 2, -2, ... other than 1728 and, when a
+    nonzero Poly lead is given, its roots."""
+    if lead is not None and not lead:
+        raise EliminationDegenerate("leading coefficient vanishes on the "
+                                    "whole grid")
     out = []
-    k = 1
-    banned = {0, 1728}
-    while len(out) < count:
+    for k in itertools.count(1):
         for v in (k, -k):
-            if v not in banned and len(out) < count:
+            if v != 1728 and (lead is None or lead(v)):
                 out.append(v)
-        k += 1
-    return out
+                if len(out) == count:
+                    return out
 
 
 @functools.cache
@@ -83,9 +87,9 @@ def build_locus(case_no):
 
     The classical invariants are polynomials in the branch value of
     degrees at most 2, 4, 6, 6, so twenty-five integer samples fix them
-    with plenty of consistency slack; the plane model comes from the
-    smallest coefficient box admitting a linear relation among the
-    monomials in (i1, i2).
+    with plenty of consistency slack.  The plane model in (i1, i2) is the
+    resultant that eliminates the branch value, interpolated from a grid
+    of integer Sylvester determinants (_eliminate).
     """
     if case_no not in range(1, 9):
         raise ValueError("case number must be between 1 and 8")
@@ -129,25 +133,30 @@ def _eliminate(i1, i2):
     R(X, Y) = Res_lam(numer(i1) - X denom(i1), numer(i2) - Y denom(i2))
     vanishes exactly on the image curve plus possible coordinate lines
     from leading-coefficient dropouts; R is recovered by interpolating
-    integer Sylvester determinants over a grid, then reduced to the
-    content-free model by stripping one-variable factors and repeated
-    factors.
+    integer resultants over a grid, then reduced to the content-free
+    model by stripping one-variable factors and repeated factors.  At
+    X = a the second polynomial is reduced modulo p_a = n1 - a d1 once,
+    which is linear in Y, so every Y on that row pays for a Sylvester
+    determinant of order 2 deg p_a - 1 only.
     """
     n1, d1 = _integer_pair(i1)
     n2, d2 = _integer_pair(i2)
     m1 = max(n1.degree, d1.degree)
     m2 = max(n2.degree, d2.degree)
-    # the Sylvester block structure bounds deg_X R by m2 and deg_Y R by m1
-    xs = _sample_values(m2 + 3)
+    # the Sylvester block structure bounds deg_X R by m2 and deg_Y R by m1;
+    # grid values where p_a drops degree are skipped
+    xs = _sample_values(m2 + 3, Poly([n1.coeff(m1), -d1.coeff(m1)]))
     ys = _sample_values(m1 + 3)
+    num2 = [n2.coeff(j) for j in range(m2 + 1)]
+    den2 = [d2.coeff(j) for j in range(m2 + 1)]
     slices = []
     for a in xs:
         pc = [n1.coeff(j) - a * d1.coeff(j) for j in range(m1 + 1)]
+        rn, rd = pseudo_remainder(num2, pc), pseudo_remainder(den2, pc)
         pts = []
         for b in ys:
-            qc = [n2.coeff(j) - b * d2.coeff(j) for j in range(m2 + 1)]
-            det = _bareiss_det(sylvester_matrix(pc, qc))
-            pts.append((Fraction(b), Fraction(det)))
+            rc = [x - b * y for x, y in zip(rn, rd)]
+            pts.append((Fraction(b), Fraction(_reduced_resultant(pc, rc, m2))))
         slices.append(interpolate(pts, degree=m1))
     cols = []
     for k in range(m1 + 1):
@@ -157,6 +166,26 @@ def _eliminate(i1, i2):
         raise EliminationDegenerate(
             "elimination resultant vanished identically")
     return _reduce_plane_model(cols)
+
+
+def _reduced_resultant(pc, rc, n):
+    """Res(p, q) at formal degrees m and n from rc = pseudo_remainder(qc, pc).
+
+    With e = n - m + 1, lc(p)^e q = s p + r gives Res_(m,n)(p, q) =
+    Res_(m,m-1)(p, r) / lc(p)^(e (m - 1)), a Sylvester determinant of
+    order 2m - 1 in place of m + n.  At m = 1 the remainder has formal
+    degree 0, which sylvester_matrix takes as resultant 0, so m >= 2 and
+    n >= m with lc(p) != 0 are required.
+    """
+    m = len(pc) - 1
+    if m < 2 or n < m or pc[-1] == 0:
+        raise EliminationDegenerate("reduced resultant needs 2 <= deg p "
+                                    "<= formal deg q", m=m, n=n)
+    det, rem = divmod(_bareiss_det(sylvester_matrix(pc, rc)),
+                      pc[-1] ** ((n - m + 1) * (m - 1)))
+    if rem:
+        raise InconsistentData("reduced resultant left a remainder")
+    return det
 
 
 def _reduce_plane_model(cols):
@@ -278,10 +307,13 @@ def singular_fibers(locus):
     m2 = max(n2.degree, d2.degree)
     bound = (m1 + m2 - 2) * (2 * max(m1, m2) - 1) + 1
     points = []
-    for lam0 in _sample_values(bound + 6):
+    # the first kernel drops degree where its leading coefficient,
+    # n1(lam0) lc(d1) - lc(n1) d1(lam0), vanishes: those values are skipped
+    lead = n1 * d1.coeff(m1) - d1 * n1.coeff(m1)
+    for lam0 in _sample_values(bound + 6, lead):
         p1 = _divided_kernel(n1, d1, lam0)
         p2 = _divided_kernel(n2, d2, lam0)
-        det = _bareiss_det(sylvester_matrix(p1, p2))
+        det = _reduced_resultant(p1, pseudo_remainder(p2, p1), m2 - 1)
         points.append((Fraction(lam0), Fraction(det)))
     res = interpolate(points, degree=bound)
     if not res:

@@ -325,6 +325,24 @@ def sylvester_matrix(pc, qc):
     return rows
 
 
+def pseudo_remainder(qc, pc):
+    """lc(p)^(n-m+1) q mod p for ascending integer coefficient lists of
+    formal degrees n >= m >= 1, as a list of length m.
+
+    Every one of the n - m + 1 steps multiplies by lc(p), also where the
+    top coefficient is 0, so the multiplier is fixed and the remainder is
+    linear in q.
+    """
+    m, lc = len(pc) - 1, pc[-1]
+    r = list(qc)
+    for shift in range(len(qc) - 1 - m, -1, -1):
+        top = r.pop()
+        r = [lc * c for c in r]
+        for i, c in enumerate(pc[:-1]):
+            r[shift + i] -= top * c
+    return r
+
+
 # ----------------------------------------------------------------------------
 # modular reductions and squarefree certification
 # ----------------------------------------------------------------------------

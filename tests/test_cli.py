@@ -249,6 +249,37 @@ def test_quadratic_output_matches_the_record(capsys, command):
         QUADRATIC_RECORD[command]
 
 
+# exit code and stdout sha256 of each plane model, and of the fields of
+# moduli of case 1, whose first generator is i3 and so reads I6star
+LOCUS_RECORD = {
+    "locus --case 1 --emit F": (
+        0, "ed144882a6fcd9a13c75c6a8a0625e01bb8c9151b9ccc68ca572b76d3a59ac87"),
+    "locus --case 2 --emit F": (
+        0, "78d864ffc0cf108ea308022e95a6f00d0e51cb035c3938128f1645e0b3c15635"),
+    "locus --case 3 --emit F": (
+        0, "ca67acee8280faeb595d9d8063147f54cd5055e7a2d1305e53c266cdeadb9b23"),
+    "locus --case 4 --emit F": (
+        0, "11a7073be971abff869b74120434fa6c3d24071630d1253c6dcf2afb913c4afa"),
+    "locus --case 5 --emit F": (
+        0, "43fca67cc0dd002af30e125b7df94ea2adfce4a18f29b4ad49e6e0f65e8a4edb"),
+    "locus --case 6 --emit F": (
+        0, "49d6e326bf40c37e619ad3d2a048adbd7d3ee79a610b27ef72d3e316c58fa8c9"),
+    "locus --case 7 --emit F": (
+        0, "ce22a5420e4a2976140b22dfa8f09890ff707e068cb9b9e36bf33ca6e57e73f4"),
+    "locus --case 8 --emit F": (
+        0, "a5579a809c6a5491530523e9ef90d45896c9fc7c068a5cc6fac7d14e04c58de8"),
+    "locus --case 1 --emit moduli": (
+        0, "feab837223af1828b9f91ca47114abc34e171307aaffe22bbc06fd5623a4da0e"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOCUS_RECORD))
+def test_locus_output_matches_the_record(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == \
+        LOCUS_RECORD[command]
+
+
 class ClosedStdout:
     """A stdout whose reader has gone: the write, or the flush of what the
     writes buffered, raises BrokenPipeError."""

@@ -213,6 +213,45 @@ def test_covariant_vanishing_fails_off_family():
     assert any(v != 0 for v in checks.values())
 
 
+def _textbook_chain(f, genus):
+    """(I2, I4, I6, I6star, covariant values) by the textbook transvectant
+    on the whole form, with no content removed between the steps."""
+    d = 2 * genus + 2
+    F_ = BinaryForm.from_poly(f, d)
+
+    def value(form, r):
+        return _textbook_transvectant(form, form, r).constant_value()
+
+    J12 = _textbook_transvectant(F_, F_, d - 6)
+    G = _textbook_transvectant(F_, J12, 12)
+    I6star = None
+    if d >= 20:
+        H = _textbook_transvectant(F_, _textbook_transvectant(F_, F_, d - 10),
+                                   20)
+        I6star = value(H, d - 20)
+    covariants = {
+        s: value(_textbook_transvectant(F_, F_, d - s // 2), s)
+        if d >= s // 2 else None for s in (4, 8, 16, 28)}
+    return (value(F_, d), value(J12, 12), value(G, d - 12), I6star,
+            covariants)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_invariant_chain_matches_the_textbook_chain(data):
+    genus = data.draw(st.integers(5, 11))
+    d = 2 * genus + 2
+    coeffs = data.draw(st.lists(st.one_of(st.integers(-9, 9), rationals),
+                                min_size=d + 1, max_size=d + 1))
+    if not (coeffs[-1] or coeffs[-2]):
+        coeffs[-1] = 1
+    f = Poly(coeffs)
+    inv = invariant_set(f, genus)
+    I2, I4, I6, I6star, covariants = _textbook_chain(f, genus)
+    assert (inv.I2, inv.I4, inv.I6, inv.I6star) == (I2, I4, I6, I6star)
+    assert covariant_vanishing_checks(f, genus) == covariants
+
+
 def test_dihedral_reduces_to_plain_formula_when_normal():
     # b0 = bd = 1: u_i = a1^(d-i) a_i + a_(d-1)^(d-i) a_(d-i)
     b = [F(1), F(2), F(-3), F(5), F(7), F(1)]

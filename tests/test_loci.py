@@ -23,6 +23,7 @@ from icosacurves.invariants import (
 from icosacurves.loci import (
     _quadratic_root,
     _reduce_plane_model,
+    _reduced_resultant,
     build_locus,
     evaluate_plane_model,
     fiber_model,
@@ -31,7 +32,12 @@ from icosacurves.loci import (
     singular_fibers,
     solve_lambda,
 )
-from icosacurves.polyring import Poly
+from icosacurves.polyring import (
+    Poly,
+    _bareiss_det,
+    pseudo_remainder,
+    sylvester_matrix,
+)
 
 FIBER_KEYS = {"collision": "collision", "zero_locus": "zero",
               "infinity_locus": "infinity"}
@@ -242,3 +248,28 @@ def test_reduce_plane_model_strips_one_variable_factors():
     curve = {(0, 2): 1, (3, 0): -1, (1, 0): -1}      # Y^2 - X^3 - X
     R = _times({(2, 0): 3, (0, 0): 3}, {(0, 1): 1, (0, 0): -3}, curve)
     assert _reduce_plane_model(_columns(R)) == _times({(0, 0): -1}, curve)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reduced_resultant_matches_the_sylvester_determinant(data):
+    # the full determinant is the oracle: a wrong power of lc(p) would be
+    # an X-factor of R, which _reduce_plane_model strips, so a matching
+    # plane model alone does not prove the identity
+    coeffs = st.integers(-40, 40)
+    m = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(m, 9))
+    pc = data.draw(st.lists(coeffs, min_size=m, max_size=m))
+    pc.append(data.draw(coeffs.filter(bool)))
+    zeros = data.draw(st.integers(0, n))
+    qc = data.draw(st.lists(coeffs, min_size=n + 1 - zeros,
+                            max_size=n + 1 - zeros)) + [0] * zeros
+    want = _bareiss_det(sylvester_matrix(pc, qc))
+    assert _reduced_resultant(pc, pseudo_remainder(qc, pc), n) == want
+
+
+def test_reduced_resultant_refuses_a_linear_p():
+    # a remainder of formal degree 0 reads as resultant 0 in
+    # sylvester_matrix, while Res(x - 2, x) is 2
+    with pytest.raises(EliminationDegenerate):
+        _reduced_resultant([-2, 1], pseudo_remainder([0, 1], [-2, 1]), 1)
