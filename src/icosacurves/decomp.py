@@ -31,6 +31,7 @@ from .polyring import (
     Poly,
     RationalFunction,
     compose_rational,
+    moebius_substitute,
     nullspace,
     primitive_part,
 )
@@ -80,26 +81,10 @@ def gaussian_transport(poly, m):
 
     That is sum_i c_i i^(m-i) (x - 1)^i (x + 1)^(m-i), with Gaussian
     coefficients; m is the degree of the branch divisor, at least deg poly.
+    As i^m (x + 1)^m p((-ix + i)/(x + 1)), it is one Moebius substitution.
     """
-    # sparse inputs: skipping their zero terms beats homogenize's Horner steps
-    pows_minus = [Poly([1])]
-    pows_plus = [Poly([1])]
-    for _ in range(m):
-        pows_minus.append(pows_minus[-1] * Poly([-1, 1]))   # x - 1
-        pows_plus.append(pows_plus[-1] * Poly([1, 1]))      # x + 1
-    i_pows = [QuadraticElement(1, 0, -1)]
-    for _ in range(m):
-        i_pows.append(i_pows[-1] * _GAUSS_I)
-    acc = [QuadraticElement(0, 0, -1)] * (m + 1)
-    for i, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        scalar = i_pows[m - i] * c
-        term = pows_minus[i] * pows_plus[m - i]
-        for k, t in enumerate(term.coeffs):
-            if t:
-                acc[k] = acc[k] + scalar * t
-    return Poly(acc)
+    return moebius_substitute(poly, -_GAUSS_I, _GAUSS_I, 1, 1, m) \
+        * _GAUSS_I ** m
 
 
 def transported_invariant_map():
@@ -175,6 +160,14 @@ def _compress_power(poly, m):
     return Poly(out)
 
 
+def _expand_power(poly, m):
+    """p(x^m) for a polynomial p."""
+    out = []
+    for c in poly.coeffs:
+        out += [c] + [0] * (m - 1)
+    return Poly(out)
+
+
 def left_factor(f, h):
     """Solve f == g(h) for the outer map g; None when no such g exists.
 
@@ -232,7 +225,9 @@ def inner_cubic_decomposition():
 
     Diagonalize an order-3 group element (its fixed points lie in the
     ambient field Q(zeta60)) and compress the conjugated map through x^3.
-    Returns (outer, inner), verified.
+    Returns (outer, inner) with inner = sigma^3, verified as
+    phi == (outer(x^3))(sigma), which by associativity is
+    outer(sigma^3) == phi with both compositions Moebius substitutions.
     """
     group = build_icosahedral_group()
     phi = invariant_map()
@@ -243,11 +238,14 @@ def inner_cubic_decomposition():
     outer = left_factor(psi, cube)
     if outer is None:
         raise IdentityFailed("conjugated map is not a function of x^3")
-    snum, sden = Poly([sigma.b, sigma.a]), Poly([sigma.d, sigma.c])
-    inner = RationalFunction(snum ** 3, sden ** 3)
-    if compose_rational(outer, inner) != phi:
+    # outer(x^3) is reduced when outer is: a common root r of its parts
+    # would make r^3 a common root of outer's
+    spread = RationalFunction(_expand_power(outer.num, 3),
+                              _expand_power(outer.den, 3), reduce=False)
+    if compose_rational(spread, sigma.as_rational_function()) != phi:
         raise IdentityFailed("cubic decomposition failed verification")
-    return outer, inner
+    snum, sden = Poly([sigma.b, sigma.a]), Poly([sigma.d, sigma.c])
+    return outer, RationalFunction(snum ** 3, sden ** 3)
 
 
 def check_inner(kind):

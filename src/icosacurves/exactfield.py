@@ -128,6 +128,15 @@ class CyclotomicField:
     def element(self, coeffs):
         return CycloElement(self, coeffs)
 
+    def from_ints(self, ints, den=1):
+        """The element ints / den in lowest terms, from a tuple of degree
+        integers on the power basis and a positive den; an element of the
+        ambient field is an AlgebraicNumber."""
+        ambient = self.n == 60
+        bare = object.__new__(AlgebraicNumber if ambient else CycloElement)
+        bare.field = self
+        return bare._new(ints, den)
+
     def zero(self):
         return self.element([])
 
@@ -508,6 +517,14 @@ class QuadraticField:
                     if y:
                         out[j ^ k] += x * y * sq[j & k]
         return tuple(out)
+
+    def from_ints(self, ints, den=1):
+        """The element ints / den in lowest terms, from a tuple of integers
+        on the basis and a positive den."""
+        tower = len(self.classes) > 1
+        bare = object.__new__(_QuadraticTower if tower else QuadraticElement)
+        bare.field = self
+        return bare._new(ints, den)
 
     @functools.cache
     def residues(self, prime):

@@ -5,17 +5,19 @@ elements; any type with exact +, -, *, / and truthiness works, and plain
 ints coerce through the coefficient type's own arithmetic.  Polynomials are
 stored lowest degree first with trailing zeros stripped.
 
-The modular certificates read a coefficient that is not an int or Fraction
-only through three attributes: ints, a tuple of integers, over den, a
-positive integer, on the basis of field, whose residues(prime) gives the
-images of that basis under a ring map onto the integers mod prime, or None
-where there is no such map.
+The modular certificates and the Taylor shifts of moebius_substitute read a
+coefficient that is not an int or Fraction only through three attributes:
+ints, a tuple of integers, over den, a positive integer, on the basis of
+field.  field.residues(prime) gives the images of that basis under a ring
+map onto the integers mod prime, or None where there is no such map, and
+field.from_ints(ints, den) builds the element ints / den in lowest terms.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import (
+    DegreeMismatch,
     DivisionByZero,
     DuplicateAbscissa,
     InconsistentData,
@@ -565,13 +567,114 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
+def _check_degree(poly, m):
+    if poly.degree > m:
+        raise DegreeMismatch("polynomial degree exceeds the homogenizing "
+                             "degree", degree=poly.degree, m=m)
+
+
+def _scaled(values, s):
+    """values[k] * s^k for each k."""
+    if s == 1:
+        return values
+    out = list(values[:1])
+    power = 1
+    for v in values[1:]:
+        power = power * s
+        out.append(v * power if v else v)
+    return out
+
+
+def _shift_ints(ints):
+    """The coefficients of p(x + 1) for a list of integer coefficients of
+    p, by additions only."""
+    out = list(ints)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
+def _unit_shift(values):
+    """The coefficients of p(x + 1) from those of p.
+
+    Rationals are shifted as integers over one common denominator.  Field
+    elements become integer vectors on the field's basis over one common
+    denominator, a rational at position 0, the basis element 1 of every
+    field, and each basis position is shifted as a list of integers.
+    """
+    elems = [c for c in values if not isinstance(c, (int, Fraction))]
+    if not elems:
+        ints, den = clear_denominators(values)
+        return [Fraction(v, den) for v in _shift_ints(ints)]
+    if len({c.field for c in elems}) > 1:
+        # the operators carry every value into the field that holds them all
+        zero = sum(c * 0 for c in elems)
+        values = elems = [zero + c for c in values]
+    dim = len(elems[0].ints)
+    pairs = [((c.numerator,) + (0,) * (dim - 1), c.denominator)
+             if isinstance(c, (int, Fraction)) else (c.ints, c.den)
+             for c in values]
+    den = math.lcm(*(d for _, d in pairs))
+    cols = [[ints[k] * (den // d) for ints, d in pairs] for k in range(dim)]
+    cols = [_shift_ints(col) if any(col) else col for col in cols]
+    field = elems[0].field
+    return [field.from_ints(tuple(col[j] for col in cols), den)
+            for j in range(len(pairs))]
+
+
+def _affine(values, t, s):
+    """The coefficients of p(tx + s) from those of p: the shift p(x + s)
+    with coefficient k scaled by t^k.  For s other than 0 and 1 that is
+    p(sx) shifted by 1, with coefficient k scaled by (t/s)^k."""
+    if not s:
+        return _scaled(values, t)
+    if s == 1:
+        return _scaled(_unit_shift(values), t)
+    return _scaled(_unit_shift(_scaled(values, s)), _exact_div(t, s))
+
+
+def moebius_substitute(poly, a, b, c, d, m):
+    """(cx + d)^m p((ax + b)/(cx + d)) for a polynomial p of degree at most
+    m, that is sum_i p_i (ax + b)^i (cx + d)^(m-i).
+
+    O(m) products and O(m^2) additions, by Taylor shifts (von zur Gathen
+    and Gerhard, ISSAC 1997).  For c != 0, (ax + b)/(cx + d) is
+    a/c + e/(cx + d) with e = (bc - ad)/c, so the sum is r(cx + d) for
+    the reversal r(z) = z^m q(1/z) to degree m of q(y) = p(ey + a/c).
+    For c = 0 it is the polynomial with coefficients p_i d^(m-i) at
+    ax + b.  A degree above m raises DegreeMismatch.
+    """
+    _check_degree(poly, m)
+    if not poly:
+        return poly
+    cs = list(poly.coeffs) + [0] * (m + 1 - len(poly.coeffs))
+    if c:
+        inv = _inv(c)
+        cs = _affine(cs, (b * c - a * d) * inv, a * inv)
+        cs = _affine(cs[::-1], c, d)
+    else:
+        cs = _affine(_scaled(cs[::-1], d)[::-1], a, b)
+    if all(type(v) is int for v in (a, b, c, d, *poly.coeffs)):
+        cs = [int(v) for v in cs]  # integral, as the Horner steps leave it
+    return Poly(cs)
+
+
 def homogenize(polys, a, b, m):
     """sum_i c_i a^i b^(m-i) for each polynomial sum_i c_i x^i in polys.
 
-    m bounds every degree.  Each sum is built by the Horner steps
-    acc = acc*a + c_i*b^(m-i) from the top coefficient down, and the powers
-    of b are formed once for all the polynomials.
+    m bounds every degree; a larger degree raises DegreeMismatch.  When a
+    and b have degree at most 1 each sum is a moebius_substitute.
+    Otherwise it is built by the Horner steps acc = acc*a + c_i*b^(m-i)
+    from the top coefficient down, and the powers of b are formed once for
+    all the polynomials.
     """
+    for p in polys:
+        _check_degree(p, m)
+    if a.degree <= 1 and b.degree <= 1:
+        return [moebius_substitute(p, a.coeff(1), a.coeff(0), b.coeff(1),
+                                   b.coeff(0), m) for p in polys]
     b_pows = [Poly([1])]
     for _ in range(m):
         b_pows.append(b_pows[-1] * b)

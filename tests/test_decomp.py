@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from icosacurves import decomp
 from icosacurves.decomp import (
     check_inner,
     conjugated_edge_form,
     conjugated_edge_identity,
     conjugated_face_form,
     conjugated_vertex_form,
+    gaussian_transport,
     inner_cubic_decomposition,
     left_factor,
     transported_invariant_map,
     transported_matches_factored,
     verify_conjugated_identities,
 )
-from icosacurves.errors import ConstantInner, DegreeMismatch
+from icosacurves.errors import ConstantInner, DegreeMismatch, IdentityFailed
 from icosacurves.exactfield import I_UNIT, QuadraticElement
 from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import MoebiusMap, invariant_map
@@ -128,6 +130,28 @@ def test_inner_cubic_decomposition():
     assert inner.mapped_degree() == 3
     assert outer.mapped_degree() == 20
     assert compose_rational(outer, inner) == invariant_map()
+
+
+def test_inner_cubic_decomposition_rejects_a_wrong_outer(monkeypatch):
+    # the verification is exact: one changed coefficient of the outer map
+    # that left_factor hands back must fail it
+    found = left_factor
+
+    def one_coefficient_off(f, h):
+        outer = found(f, h)
+        cs = list(outer.num.coeffs)
+        cs[1] = cs[1] + 1
+        return RationalFunction(Poly(cs), outer.den)
+
+    monkeypatch.setattr(decomp, "left_factor", one_coefficient_off)
+    with pytest.raises(IdentityFailed):
+        inner_cubic_decomposition()
+
+
+def test_gaussian_transport_rejects_a_degree_above_m():
+    # an IndexError before
+    with pytest.raises(DegreeMismatch):
+        gaussian_transport(Poly([1, 2, 3]), 1)
 
 
 def test_check_inner_reports():

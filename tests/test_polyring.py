@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icosacurves.errors import (
+    DegreeMismatch,
     DivisionByZero,
     DuplicateAbscissa,
     InconsistentData,
@@ -23,10 +24,12 @@ from icosacurves.polyring import (
     certified_coprime,
     clear_denominators,
     compose_rational,
+    homogenize,
     integer_primitive,
     interpolate,
     inverse_mod,
     is_squarefree_certified,
+    moebius_substitute,
     nullspace,
     poly_mod_p,
     primitive_part,
@@ -430,6 +433,74 @@ def test_compose_rational_edge_shapes():
     low = RationalFunction(Poly([F(1)]), Poly([F(0), F(0), F(1)]))
     assert compose_rational(low, inner).num.degree == 2
     assert compose_rational(low, inner) == naive_compose(low, inner)
+
+
+
+def naive_moebius(poly, a, b, c, d, m):
+    """Oracle: sum_i p_i (ax + b)^i (cx + d)^(m-i), one power at a time."""
+    acc = Poly()
+    for i, ci in enumerate(poly.coeffs):
+        acc = acc + Poly([b, a]) ** i * Poly([d, c]) ** (m - i) * ci
+    return acc
+
+
+GAUSS = QuadraticElement(0, 1, -1)
+gauss_coeff = st.builds(lambda x, y: QuadraticElement(x, y, -1),
+                        small_ints, small_ints)
+# coefficients of each kind, mixed with plain ints
+moebius_coeffs = st.sampled_from([
+    small_ints,
+    st.one_of(small_ints, rational_coeff),
+    st.one_of(small_ints, gauss_coeff),
+    st.one_of(small_ints, cyclo_coeff),
+])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=moebius_coeffs, m=st.integers(0, 6),
+       shape=st.sampled_from(["free", "c=0", "d=0", "a=c", "a=-c"]))
+def test_moebius_substitute_matches_the_naive_sum(data, kind, m, shape):
+    # deg p < m whenever fewer than m + 1 coefficients are drawn
+    p = Poly(data.draw(st.lists(kind, max_size=m + 1)))
+    a, b, c, d = (data.draw(kind) for _ in range(4))
+    if shape == "c=0":
+        c = 0
+    elif shape == "d=0":
+        d = 0
+    elif shape in ("a=c", "a=-c"):
+        c = c or 1
+        a = c if shape == "a=c" else -c
+    got = moebius_substitute(p, a, b, c, d, m)
+    assert got == naive_moebius(p, a, b, c, d, m)
+    if all(type(v) is int for v in (a, b, c, d, *p.coeffs)):
+        assert all(type(v) is int for v in got.coeffs)
+
+
+@pytest.mark.parametrize("a, b, c, d", [
+    (F(2), 1, F(1, 3), -1), (GAUSS, 1, 0, 2), (1, 0, Z15.zeta(), 0)])
+def test_moebius_substitute_of_zero_is_zero(a, b, c, d):
+    assert moebius_substitute(Poly(), a, b, c, d, 4) == Poly()
+
+
+def test_moebius_substitute_lifts_gaussian_into_the_ambient_field():
+    # Gaussian coefficients meet Q(zeta60) parameters: the shift carries
+    # every coefficient into the ambient field
+    amb = cyclotomic_field(60)
+    z = amb.zeta()
+    p = Poly([GAUSS, 3, GAUSS * 2 + 1])
+    got = moebius_substitute(p, z, GAUSS, z * z, 3, 2)
+    assert got == naive_moebius(p, z, GAUSS, z * z, 3, 2)
+    assert all(c.field is amb for c in got.coeffs)
+
+
+def test_homogenize_rejects_a_degree_above_m():
+    # the coefficients above m were dropped: this gave 1 + 2x
+    with pytest.raises(DegreeMismatch):
+        homogenize([Poly([1, 2, 3])], Poly([0, 1]), Poly([1]), 1)
+    with pytest.raises(DegreeMismatch):   # the Horner path
+        homogenize([Poly([1, 2, 3])], Poly([0, 0, 1]), Poly([1]), 1)
+    with pytest.raises(DegreeMismatch):
+        moebius_substitute(Poly([1, 2, 3]), 1, 0, 0, 1, 1)
 
 
 Z60 = cyclotomic_field(60)
