@@ -4,9 +4,10 @@ Three routes are covered.  The map is a polynomial in x^5 as written, since
 the vertex orbit sits at 0 and infinity.  Conjugating by the fixed Moebius
 map that carries a pair of edge midpoints to 0 and infinity produces an even
 map over the Gaussian rationals, the x^2 route.  Conjugating by a map that
-does the same for two face centers produces the x^3 route.  A generic
-left-factor solver backs all of them and verifies every answer by exact
-composition.
+does the same for two face centers produces the x^3 route.  Each route
+reads the outer map off the coefficients of a map supported on multiples
+of the exponent; the x^3 route verifies its answer by exact composition
+with the conjugating Moebius map.
 """
 
 import functools
@@ -32,7 +33,6 @@ from .polyring import (
     RationalFunction,
     compose_rational,
     moebius_substitute,
-    nullspace,
     primitive_part,
 )
 
@@ -136,18 +136,8 @@ def verify_conjugated_identities():
 
 
 # ----------------------------------------------------------------------------
-# left factorization: find g with f == g(h)
+# left factorization through a power: find g with f == g(x^m)
 # ----------------------------------------------------------------------------
-
-def _is_plain_power(h):
-    """The exponent m when h is exactly x^m, else None."""
-    if h.den.degree != 0 or h.den.coeff(0) != 1:
-        return None
-    nz = [k for k, c in enumerate(h.num.coeffs) if c]
-    if len(nz) == 1 and h.num.coeffs[nz[0]] == 1 and nz[0] >= 1:
-        return nz[0]
-    return None
-
 
 def _compress_power(poly, m):
     """Read a polynomial supported on multiples of m as a polynomial in x^m."""
@@ -168,56 +158,27 @@ def _expand_power(poly, m):
     return Poly(out)
 
 
-def left_factor(f, h):
-    """Solve f == g(h) for the outer map g; None when no such g exists.
+def left_factor(f, m):
+    """Solve f == g(x^m) for the outer map g; None when no such g exists.
 
-    The answer is always verified by exact composition.  A constant inner
-    map raises ConstantInner; an inner degree that does not divide the outer
-    one raises DegreeMismatch.
+    A factorization exists exactly when both reduced parts of f are
+    supported on multiples of m, and g is read off them.  An exponent
+    below 1 raises ConstantInner; one that does not divide the mapped
+    degree of f raises DegreeMismatch.
     """
-    if not isinstance(f, RationalFunction):
-        f = RationalFunction(f)
-    if not isinstance(h, RationalFunction):
-        h = RationalFunction(h)
-    m = h.mapped_degree()
-    if m == 0:
-        raise ConstantInner("inner map is constant")
+    if m < 1:
+        raise ConstantInner("inner exponent is below 1", exponent=m)
     n = f.mapped_degree()
     if n % m:
         raise DegreeMismatch("inner degree does not divide the outer degree",
                              inner=m, outer=n)
-    k = n // m
-    power = _is_plain_power(h)
-    if power is not None:
-        # for h = x^m a factorization exists exactly when both reduced parts
-        # of f are supported on multiples of m
-        cn = _compress_power(f.num, power)
-        cd = _compress_power(f.den, power)
-        if cn is None or cd is None:
-            return None
-        return RationalFunction(cn, cd, reduce=False)
-    hn, hd = h.num, h.den
-    lifts = [Poly([1])]
-    for _ in range(k):
-        lifts.append(lifts[-1] * hn)
-    drops = [Poly([1])]
-    for _ in range(k):
-        drops.append(drops[-1] * hd)
-    blend = [lifts[j] * drops[k - j] for j in range(k + 1)]
-    p_cols = [f.den * bj * -1 for bj in blend]
-    q_cols = [f.num * bj for bj in blend]
-    deg = max(c.degree for c in p_cols + q_cols)
-    rows = []
-    for r in range(deg + 1):
-        rows.append([c.coeff(r) for c in p_cols] + [c.coeff(r) for c in q_cols])
-    for vec in nullspace(rows, 2 * (k + 1)):
-        den = Poly(vec[k + 1:])
-        if not den:
-            continue
-        g = RationalFunction(Poly(vec[: k + 1]), den)
-        if compose_rational(g, h) == f:
-            return g
-    return None
+    cn = _compress_power(f.num, m)
+    cd = _compress_power(f.den, m)
+    if cn is None or cd is None:
+        return None
+    # g is reduced: a common root r of its parts would make each m-th root
+    # of r a common root of f's; f's monic denominator keeps g's monic
+    return RationalFunction(cn, cd, reduce=False)
 
 
 def inner_cubic_decomposition():
@@ -234,8 +195,7 @@ def inner_cubic_decomposition():
     gamma = next(g for g in group.elements if g.order() == 3)
     sigma, _, _ = normalize_element_to_scaling(gamma)
     psi = compose_rational(phi, sigma.inverse().as_rational_function())
-    cube = RationalFunction(Poly([0, 0, 0, 1]))
-    outer = left_factor(psi, cube)
+    outer = left_factor(psi, 3)
     if outer is None:
         raise IdentityFailed("conjugated map is not a function of x^3")
     # outer(x^3) is reduced when outer is: a common root r of its parts
@@ -251,19 +211,13 @@ def inner_cubic_decomposition():
 def check_inner(kind):
     """CLI-facing decomposition check; returns a report dictionary."""
     if kind == "x5":
-        outer = left_factor(invariant_map(), RationalFunction(
-            Poly([0, 0, 0, 0, 0, 1])))
-        ok = outer is not None
-        deg = outer.mapped_degree() if ok else None
+        outer = left_factor(invariant_map(), 5)
     elif kind == "x2":
-        outer = left_factor(transported_invariant_map(), RationalFunction(
-            Poly([0, 0, 1])))
-        ok = outer is not None
-        deg = outer.mapped_degree() if ok else None
+        outer = left_factor(transported_invariant_map(), 2)
     elif kind == "x3":
         outer, _ = inner_cubic_decomposition()
-        ok = True
-        deg = outer.mapped_degree()
     else:
         raise ValueError(f"unknown inner kind {kind!r}")
-    return {"inner": kind, "found": ok, "outer_degree": deg}
+    found = outer is not None
+    return {"inner": kind, "found": found,
+            "outer_degree": outer.mapped_degree() if found else None}

@@ -1,7 +1,9 @@
 """Loader for the frozen reference data shipped with the package.
 
 The JSON file holds exact integers and rationals as strings; this module
-parses them once into polynomials and field elements.
+parses the entries that verify compares against once into polynomials and
+field elements.  The printed orbit forms and conjugated factors stay in
+the file for the tests to read.
 """
 
 import functools
@@ -17,30 +19,17 @@ def _frac_poly(items):
     return Poly([Fraction(s) for s in items])
 
 
-def _gauss(pair):
-    return QuadraticElement(Fraction(pair[0]), Fraction(pair[1]), -1)
-
-
-def _gauss_poly(items):
-    return Poly([_gauss(p) for p in items])
-
-
 class Fixtures:
     """Typed view of the reference data."""
 
     def __init__(self, raw):
-        self.orbit_forms = {k: _frac_poly(v)
-                            for k, v in raw["orbit_forms"].items()}
         self.branch_factor_x5 = {
             int(k): (Fraction(v[0]), Fraction(v[1]))
             for k, v in raw["branch_factor_x5"].items()
         }
-        self.conjugated_factors = {
-            k: [_gauss_poly(f) for f in v]
-            for k, v in raw["conjugated_factors"].items()
-        }
         s = raw["conjugated_identity_scalar"]
-        self.conjugated_identity_scalar = _gauss(s)
+        self.conjugated_identity_scalar = QuadraticElement(
+            Fraction(s[0]), Fraction(s[1]), -1)
 
         def ref_power_quotient(d):
             num = _frac_poly(d["lin"]) ** d["lin_pow"] * Fraction(d["scale"])

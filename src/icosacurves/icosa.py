@@ -12,7 +12,6 @@ import operator
 from fractions import Fraction
 
 from .errors import (
-    DivisionByZero,
     FixedPointsOutsideField,
     IdentityFailed,
     InconsistentData,
@@ -80,12 +79,6 @@ class MoebiusMap:
 
     def inverse(self):
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, x):
-        den = self.c * x + self.d
-        if not den:
-            raise DivisionByZero("point maps to infinity", at=x)
-        return (self.a * x + self.b) * den.inverse()
 
     def is_identity(self):
         return not self.b and not self.c and self.a == self.d

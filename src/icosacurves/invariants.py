@@ -23,7 +23,7 @@ from .errors import (
     OrderTooLarge,
 )
 from .exactfield import QuadraticElement
-from .polyring import Poly, _inv, homogenize, primitive_part
+from .polyring import Poly, _inv, primitive_part
 
 
 class BinaryForm:
@@ -68,21 +68,6 @@ class BinaryForm:
             raise ValueError("cannot add forms of different degrees")
         return BinaryForm(self.degree,
                           (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c):
-        return BinaryForm(self.degree, (c * a for a in self.coeffs))
-
-    def substitute(self, a, b, c, d):
-        """The form at (aX + bY, cX + dY)."""
-        # sum_j p_j X^j Y^(n-j) at x = X/Y: sum_j p_j (ax+b)^j (cx+d)^(n-j)
-        [p] = homogenize([self.to_poly()], Poly([b, a]), Poly([d, c]),
-                         self.degree)
-        return BinaryForm.from_poly(p, self.degree)
-
-    def constant_value(self):
-        if self.degree != 0:
-            raise ValueError("form is not a constant")
-        return self.coeffs[0]
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -211,9 +196,9 @@ def _self_value(form, r):
 def invariant_set(f, genus):
     """Classical invariants of y^2 = f(x) at the given genus.
 
-    An odd-degree f is homogenized with one root at infinity so the form
-    degree is always d = 2*genus + 2.  Each covariant of the chain is kept
-    as one rational scalar times content-free integers.
+    An odd-degree f is read as a form with one root at infinity, so the
+    form degree is always d = 2*genus + 2.  Each covariant of the chain is
+    kept as one rational scalar times content-free integers.
     """
     d = 2 * genus + 2
     if d < 12:

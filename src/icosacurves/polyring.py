@@ -175,9 +175,6 @@ class Poly:
             return self
         return Poly((0,) * k + self.coeffs)
 
-    def compose(self, inner):
-        return homogenize([self], inner, Poly([1]), max(self.degree, 0))[0]
-
     def gcd(self, other):
         """Monic gcd by the Euclidean algorithm."""
         a, b = self, other
@@ -474,11 +471,11 @@ class RationalFunction:
         self.den = den
 
     def __eq__(self, other):
+        # both sides are reduced with a monic denominator
         if isinstance(other, RationalFunction):
-            return (self.num * other.den) == (other.num * self.den)
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (Poly, int, Fraction)):
-            return self == RationalFunction(other if isinstance(other, Poly)
-                                            else Poly([other]))
+            return self == RationalFunction(other)
         return NotImplemented
 
     def __hash__(self):
@@ -569,7 +566,7 @@ class RationalFunction:
 
 def _check_degree(poly, m):
     if poly.degree > m:
-        raise DegreeMismatch("polynomial degree exceeds the homogenizing "
+        raise DegreeMismatch("polynomial degree exceeds the substitution "
                              "degree", degree=poly.degree, m=m)
 
 
@@ -661,49 +658,25 @@ def moebius_substitute(poly, a, b, c, d, m):
     return Poly(cs)
 
 
-def homogenize(polys, a, b, m):
-    """sum_i c_i a^i b^(m-i) for each polynomial sum_i c_i x^i in polys.
-
-    m bounds every degree; a larger degree raises DegreeMismatch.  When a
-    and b have degree at most 1 each sum is a moebius_substitute.
-    Otherwise it is built by the Horner steps acc = acc*a + c_i*b^(m-i)
-    from the top coefficient down, and the powers of b are formed once for
-    all the polynomials.
-    """
-    for p in polys:
-        _check_degree(p, m)
-    if a.degree <= 1 and b.degree <= 1:
-        return [moebius_substitute(p, a.coeff(1), a.coeff(0), b.coeff(1),
-                                   b.coeff(0), m) for p in polys]
-    b_pows = [Poly([1])]
-    for _ in range(m):
-        b_pows.append(b_pows[-1] * b)
-    out = []
-    for p in polys:
-        acc = Poly()
-        for i in range(m, -1, -1):
-            acc = acc * a
-            c = p.coeff(i)
-            if c:
-                acc = acc + b_pows[m - i] * c
-        out.append(acc)
-    return out
-
-
 def compose_rational(outer, inner):
-    """outer(inner(x)) for rational functions, via homogenization.
+    """outer(inner(x)) for an inner map of mapped degree at most 1.
 
-    With inner = a/b and m the joint degree of outer, each part sum c_i x^i
-    of outer becomes sum c_i a^i b^(m-i).
+    With inner = (ax + b)/(cx + d) and m the joint degree of outer, each
+    part of outer becomes one moebius_substitute.  An inner map of higher
+    degree raises DegreeMismatch.
     """
     if not isinstance(inner, RationalFunction):
-        inner = RationalFunction(inner if isinstance(inner, Poly)
-                                 else Poly([inner]))
+        inner = RationalFunction(inner)
     if not isinstance(outer, RationalFunction):
-        outer = RationalFunction(outer if isinstance(outer, Poly)
-                                 else Poly([outer]))
+        outer = RationalFunction(outer)
+    if inner.mapped_degree() > 1:
+        raise DegreeMismatch("inner map is not a Moebius map",
+                             degree=inner.mapped_degree())
     m = max(outer.num.degree, outer.den.degree, 0)
-    num, den = homogenize((outer.num, outer.den), inner.num, inner.den, m)
+    a, b, c, d = (inner.num.coeff(1), inner.num.coeff(0),
+                  inner.den.coeff(1), inner.den.coeff(0))
+    num, den = (moebius_substitute(p, a, b, c, d, m)
+                for p in (outer.num, outer.den))
     if not den:
         raise ZeroPolynomial("composition collapses the denominator")
     return RationalFunction(num, den)

@@ -5,10 +5,12 @@ yields one pass or fail line per criterion.  Every comparison is exact;
 no tolerances appear anywhere.
 """
 
+import json
 import math
 import random
 import time
 from fractions import Fraction as F
+from importlib import resources
 
 from icosacurves.decomp import conjugated_edge_identity, verify_conjugated_identities
 from icosacurves.exactfield import QuadraticElement
@@ -80,7 +82,9 @@ def test_criterion_02_fixed_field_generator():
     group = build_icosahedral_group()
     k, fn = first_nonconstant_symmetric_function(group)
     assert fn.mapped_degree() == 60
-    forms = load_fixtures().orbit_forms
+    forms = {k: Poly([F(c) for c in v]) for k, v in json.loads(
+        resources.files("icosacurves").joinpath("fixtures.json").read_text()
+    )["orbit_forms"].items()}
     printed = RationalFunction(-(forms["face"] ** 3), forms["vertex"] ** 5)
     assert invariant_map() == printed
     cert = moebius_equivalence(fn, invariant_map())

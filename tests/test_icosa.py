@@ -1,7 +1,9 @@
 """Tests for the icosahedral rotation group and its invariant map."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -12,7 +14,6 @@ from icosacurves.errors import (
     ParabolicElement,
 )
 from icosacurves.exactfield import AlgebraicNumber, I_UNIT, cyclotomic_field
-from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import (
     IcosahedralGroup,
     MoebiusMap,
@@ -66,7 +67,7 @@ def test_group_closure_sampled():
 
 def test_moebius_map_basics():
     m = MoebiusMap(1, 2, 3, 4)
-    assert m.apply(F(0)) == F(2, 4)
+    assert m.as_rational_function()(F(0)) == F(2, 4)
     inv = m.inverse()
     assert m.compose(inv).is_identity()
     with pytest.raises(ValueError):
@@ -83,8 +84,15 @@ def test_orbit_form_degrees_and_values():
     assert t(F(1)) == -20008
 
 
+def printed_orbit_forms():
+    """The orbit forms as the reference data prints them."""
+    raw = json.loads(resources.files("icosacurves").joinpath(
+        "fixtures.json").read_text())["orbit_forms"]
+    return {k: Poly([F(c) for c in v]) for k, v in raw.items()}
+
+
 def test_orbit_forms_equal_the_printed_forms():
-    printed = load_fixtures().orbit_forms
+    printed = printed_orbit_forms()
     assert vertex_form() == printed["vertex"]
     assert face_form() == printed["face"]
     assert edge_form() == printed["edge"]

@@ -2,8 +2,8 @@
 
 The order, lowest first, is the one the README's layout lists.  Relative
 imports inside functions count too, so a deferred import cannot hide a
-cycle.  Every public function, class or module constant has a caller
-outside the tests.
+cycle.  Every public function, class, module constant or method has a
+caller outside the tests.
 """
 
 import ast
@@ -120,4 +120,26 @@ def test_every_public_function_has_a_caller():
               if not name.startswith("_")
               and uses[name] == (name in names)
               and not re.search(rf"\b{name}\b", bench)]
+    assert sorted(unused) == []
+
+
+def _attribute_reads(node):
+    return collections.Counter(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_has_a_caller():
+    # a method is reached as an attribute; reads inside its own body, such
+    # as a recursive call, do not count
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    reads = sum(map(_attribute_reads, trees), collections.Counter())
+    bench = "\n".join(p.read_text() for p in BENCHMARK.glob("*.py"))
+    unused = [f"{cls.name}.{fn.name}"
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_")
+              and reads[fn.name] == _attribute_reads(fn)[fn.name]
+              and not re.search(rf"\.{fn.name}\b", bench)]
     assert sorted(unused) == []

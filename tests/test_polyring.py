@@ -24,7 +24,6 @@ from icosacurves.polyring import (
     certified_coprime,
     clear_denominators,
     compose_rational,
-    homogenize,
     integer_primitive,
     interpolate,
     inverse_mod,
@@ -123,8 +122,6 @@ def test_poly_gcd():
 
 def test_poly_compose_and_derivative():
     p = Poly([F(1), 0, 1])       # 1 + x^2
-    inner = Poly([F(0), 0, 1])   # x^2
-    assert p.compose(inner) == Poly([F(1), 0, 0, 0, 1])
     assert p.derivative() == Poly([0, F(2)])
     assert Poly([F(5)]).derivative() == Poly()
 
@@ -373,10 +370,13 @@ def test_compose_rational():
 
 
 def test_compose_rational_degree():
+    # only Moebius inner maps compose, and a degree above m is refused
     outer = RationalFunction(Poly([F(1), 0, 0, 1]), Poly([F(2), 1]))
     inner = RationalFunction(Poly([F(0), 0, 1]), Poly([F(1), 1]))
-    comp = compose_rational(outer, inner)
-    assert comp.mapped_degree() == outer.mapped_degree() * inner.mapped_degree()
+    with pytest.raises(DegreeMismatch):
+        compose_rational(outer, inner)
+    with pytest.raises(DegreeMismatch):
+        moebius_substitute(Poly([1, 2, 3]), 1, 0, 0, 1, 1)
 
 
 def naive_compose(outer, inner):
@@ -405,9 +405,9 @@ rational_coeff = st.builds(F, small_ints, st.integers(1, 3))
     outer_num=st.lists(small_ints, min_size=1, max_size=5),
     outer_den=st.lists(small_ints, min_size=1, max_size=5),
     inner_num=st.lists(st.one_of(rational_coeff, cyclo_coeff),
-                       min_size=1, max_size=3),
+                       min_size=1, max_size=2),
     inner_den=st.lists(st.one_of(rational_coeff, cyclo_coeff),
-                       min_size=1, max_size=3),
+                       min_size=1, max_size=2),
 )
 @example(outer_num=[0], outer_den=[0, 1], inner_num=[F(0)],
          inner_den=[F(0), F(1)])
@@ -491,16 +491,6 @@ def test_moebius_substitute_lifts_gaussian_into_the_ambient_field():
     got = moebius_substitute(p, z, GAUSS, z * z, 3, 2)
     assert got == naive_moebius(p, z, GAUSS, z * z, 3, 2)
     assert all(c.field is amb for c in got.coeffs)
-
-
-def test_homogenize_rejects_a_degree_above_m():
-    # the coefficients above m were dropped: this gave 1 + 2x
-    with pytest.raises(DegreeMismatch):
-        homogenize([Poly([1, 2, 3])], Poly([0, 1]), Poly([1]), 1)
-    with pytest.raises(DegreeMismatch):   # the Horner path
-        homogenize([Poly([1, 2, 3])], Poly([0, 0, 1]), Poly([1]), 1)
-    with pytest.raises(DegreeMismatch):
-        moebius_substitute(Poly([1, 2, 3]), 1, 0, 0, 1, 1)
 
 
 Z60 = cyclotomic_field(60)
