@@ -375,8 +375,15 @@ def test_compose_rational_degree():
     inner = RationalFunction(Poly([F(0), 0, 1]), Poly([F(1), 1]))
     with pytest.raises(DegreeMismatch):
         compose_rational(outer, inner)
-    with pytest.raises(DegreeMismatch):
+
+
+def test_homogenize_rejects_a_degree_above_m():
+    # homogenizing to degree m: the coefficients above m were once dropped,
+    # which gave 1 + 2x here
+    with pytest.raises(DegreeMismatch):   # c = 0: scaled coefficients
         moebius_substitute(Poly([1, 2, 3]), 1, 0, 0, 1, 1)
+    with pytest.raises(DegreeMismatch):   # c != 0: the Taylor shifts
+        moebius_substitute(Poly([1, 2, 3]), 0, 1, 1, 0, 1)
 
 
 def naive_compose(outer, inner):
