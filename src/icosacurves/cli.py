@@ -597,6 +597,12 @@ _HANDLERS = {
 
 def main(argv=None):
     parser = _build_parser()
+    # every digit is printed: from genus 209 on a value passes the 4300
+    # digits to which CPython 3.10.7 and later cap str(int) by default
+    limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -619,6 +625,9 @@ def main(argv=None):
         if sys.stdout is sys.__stdout__:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ map of the projective line.
 """
 
 import functools
-import operator
 from fractions import Fraction
 
 from .errors import (
@@ -28,8 +27,6 @@ from .invariants import BinaryForm, transvectant
 from .polyring import (
     Poly,
     RationalFunction,
-    clear_denominators,
-    interpolate,
     nullspace,
 )
 
@@ -160,6 +157,15 @@ def build_icosahedral_group():
                             tuple(as_map(g) for g in _generators()))
 
 
+def _rational_poly(poly):
+    """A Poly over Q(zeta5) as a Fraction Poly; InconsistentData unless every
+    coefficient is rational."""
+    if not all(c.is_rational() for c in poly.coeffs if c):
+        raise InconsistentData("orbit product coefficient is not rational")
+    return Poly([c.rational_value() if c else Fraction(0)
+                 for c in poly.coeffs])
+
+
 # The orbit forms (Klein, Lectures on the Icosahedron, 1884): the vertex
 # form from its roots, the face form its Hessian and the edge form the
 # Jacobian of the two, each scaled to constant term 1
@@ -175,8 +181,7 @@ def vertex_form():
             g[0] * p[0] + g[1] * p[1], g[2] * p[0] + g[3] * p[1])):
         if v:
             prod = prod * Poly([-u * v.inverse(), f5.one()])
-    return Poly([c.rational_value() if c else Fraction(0)
-                 for c in prod.coeffs])
+    return _rational_poly(prod)
 
 
 def _scaled_transvectant(f, h, r):
@@ -270,26 +275,21 @@ def normalize_element_to_scaling(gamma):
 # symmetrized orbit functions
 # ----------------------------------------------------------------------------
 
-class _OrbitProductSampler:
-    """Exact samples of the coefficients of prod_g ((c x+d) T - (a x+b)).
+class _OrbitCosets:
+    """The group's right cosets of its diagonal maps, one binomial each.
 
     The group's diagonal maps, normalised to (1, 0, 0, lam), must have lam
     running over all m-th roots of unity, for m their number (m = 1 when the
     identity is the only one).  The factors of a right coset, the maps
     (a, b, lam*c, lam*d) for one normalised g = (a, b, c, d), then multiply
     to one binomial: prod_lam (lam*A - B) = +-(A^m - B^m) with A = (c x+d) T
-    and B = a x+b.  So each sample multiplies one binomial in U = T^m per
-    coset, and m = 1 multiplies every linear factor.  Every coset member
-    must be an element of the group, else the data raise InconsistentData.
-    Representatives are cleared to integer vectors over the 5th cyclotomic
-    field by rational scalars, so the product is a rational multiple of the
-    one over the group's normalised matrices, every coefficient of it in T
-    stays a rational polynomial in x, and its values come out as plain
-    integers.
+    and B = a x+b.  So prod_g ((c x+d) T - (a x+b)) is, up to a constant,
+    the product of A_j U - B_j over the cosets, with U = T^m,
+    A_j = (c_j x+d_j)^m and B_j = (a_j x+b_j)^m.  Every coset member must be
+    an element of the group, else the data raise InconsistentData.
     """
 
     def __init__(self, group):
-        self.mul = cyclotomic_field(5).mul
         mats = []
         for g in group.elements:
             sub = getattr(g, "sub5", None)
@@ -306,7 +306,7 @@ class _OrbitProductSampler:
                 "diagonal maps are not the m-th roots of unity", m=m)
         members = set(mats)
         covered = set()
-        reps = []
+        self.powers = []
         for mat in mats:
             if mat in covered:
                 continue
@@ -316,77 +316,35 @@ class _OrbitProductSampler:
                 raise InconsistentData(
                     "group is not closed under its diagonal maps")
             covered |= coset
-            ints, _ = clear_denominators([q for e in mat for q in e.coeffs])
-            reps.append([tuple(ints[i:i + 4]) for i in range(0, 16, 4)])
-        self.reps = reps
+            self.powers.append((Poly([d, c]) ** m, Poly([b, a]) ** m))
         self.m = m
-        self.size = len(mats)
 
-    def coefficients_at(self, xv):
-        """All T-coefficients of the orbit product at integer x, or None.
-
-        None signals a sample where the top coefficient vanishes (the point
-        hits a pole of the orbit); such samples are skipped by callers.
-        """
-        mul, m = self.mul, self.m
-        add, sub = operator.add, operator.sub
-        poly = [(1, 0, 0, 0)]
-        for a, b, c, d in self.reps:
-            alpha = base_a = tuple(x * xv + y for x, y in zip(c, d))
-            beta = base_b = tuple(x * xv + y for x, y in zip(a, b))
-            for _ in range(m - 1):
-                alpha = mul(alpha, base_a)
-                beta = mul(beta, base_b)
-            nxt = [(0, 0, 0, 0)] * (len(poly) + 1)
-            for k, coef in enumerate(poly):
-                if any(coef):
-                    nxt[k + 1] = tuple(map(add, nxt[k + 1], mul(coef, alpha)))
-                    nxt[k] = tuple(map(sub, nxt[k], mul(coef, beta)))
-            poly = nxt
-        out = [0] * (self.size + 1)
-        for k, vec in enumerate(poly):
-            if any(vec[1:]):
-                raise InconsistentData(
-                    "orbit product coefficient is not rational", at=xv)
-            out[k * m] = vec[0]
-        if out[-1] == 0:
-            return None
-        return out
+    def top(self, r):
+        """The coefficients of U^R, ..., U^(R-r+1) in prod_j (A_j U - B_j),
+        R the number of cosets, as rational polynomials in x."""
+        top = [Poly([1])] + [Poly()] * (r - 1)
+        for a_pow, b_pow in self.powers:
+            top = [a_pow * top[0]] + [a_pow * t - b_pow * s
+                                      for t, s in zip(top[1:], top)]
+        return [_rational_poly(p) for p in top]
 
 
 def first_nonconstant_symmetric_function(group):
     """Smallest k whose k-th elementary symmetric orbit function varies.
 
-    Returns (k, the function) with the function reconstructed exactly from
-    integer samples and verified on spare points.  The samples come from
-    _OrbitProductSampler, one binomial per coset of the diagonal maps, so
-    only k divisible by their number m can vary; m = 1 multiplies all the
-    linear factors.  A group whose diagonal maps are not the m-th roots of
-    unity, or not closed under them, raises InconsistentData.
+    Returns (k, the function), read off the top coefficients of the exact
+    orbit product of _OrbitCosets, one binomial per coset of the diagonal
+    maps, so only k divisible by their number m can vary; m = 1 multiplies
+    all the linear factors.  A group whose diagonal maps are not the m-th
+    roots of unity, or not closed under them, raises InconsistentData.
     """
-    sampler = _OrbitProductSampler(group)
-    n = sampler.size
-    need = n + 5
-    samples = {}
-    x = 0
-    while len(samples) < need:
-        xv = x
-        x = -x if x > 0 else -x + 1
-        coeffs = sampler.coefficients_at(xv)
-        if coeffs is not None:
-            samples[xv] = coeffs
-    xs = sorted(samples, key=abs)
-    for k in range(1, n + 1):
-        vals = [Fraction((-1) ** k * samples[xv][n - k], samples[xv][n])
-                for xv in xs]
-        if any(v != vals[0] for v in vals):
-            num_pts = [(Fraction(xv), Fraction(samples[xv][n - k]))
-                       for xv in xs]
-            den_pts = [(Fraction(xv), Fraction(samples[xv][n]))
-                       for xv in xs]
-            num = interpolate(num_pts, degree=n) * ((-1) ** k)
-            den = interpolate(den_pts, degree=n)
-            return k, RationalFunction(num, den)
+    cosets = _OrbitCosets(group)
+    for t in range(1, len(cosets.powers) + 1):
+        top = cosets.top(t + 1)
+        k = t * cosets.m
+        fn = RationalFunction(top[t] * (-1) ** k, top[0])
+        if not fn.is_constant():
+            return k, fn
     raise InconsistentData("all symmetric orbit functions look constant")
 
 

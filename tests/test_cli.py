@@ -336,6 +336,19 @@ def test_model_rejects_flags_of_the_other_path(capsys, argv):
     assert err.startswith("usage error: ") and "--case" in err
 
 
+def test_model_prints_coefficients_past_the_int_to_str_limit(capsys):
+    # genus 209 is the first genus of case 1 whose model has a coefficient
+    # above the 4300 digits CPython caps str(int) at; main lifts the cap for
+    # its own output and restores it on exit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rc, out, err = run(capsys, "model", "--genus", "209",
+                       "--lambda", "2,3,4,5,6,7,8")
+    assert (rc, err) == (0, "")
+    coeffs = json.loads(out)["model"]["f"]["coeffs"]
+    assert max(len(c) for c in coeffs) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def python_s(args, env_update=None, drop=()):
     """Run ``python -S`` on the source tree: no site-packages, as the
     benchmark children run."""

@@ -17,7 +17,7 @@ from icosacurves.exactfield import AlgebraicNumber, I_UNIT, cyclotomic_field
 from icosacurves.icosa import (
     IcosahedralGroup,
     MoebiusMap,
-    _OrbitProductSampler,
+    _OrbitCosets,
     build_icosahedral_group,
     edge_form,
     face_form,
@@ -211,18 +211,19 @@ def _plain_orbit_product(group, xv):
     return poly
 
 
-def test_orbit_product_sampler_matches_plain_product():
-    # the coset binomials give the 60-factor product up to a rational scalar
+def test_orbit_cosets_top_coefficients_match_plain_product():
+    # the coset binomials give the 60-factor product up to a rational
+    # scalar: U^12, U^11, U^10 with U = T^5 are T^60, T^55, T^50
     grp = build_icosahedral_group()
-    sampler = _OrbitProductSampler(grp)
-    assert sampler.m == 5
+    cosets = _OrbitCosets(grp)
+    assert cosets.m == 5
+    top = cosets.top(3)
     for xv in (1, -1, 2, 3):
         plain = _plain_orbit_product(grp, xv)
         assert all(c.is_rational() for c in plain)
         plain = [c.rational_value() for c in plain]
-        sampled = sampler.coefficients_at(xv)
-        assert [F(c, plain[-1]) for c in plain] == [
-            F(c, sampled[-1]) for c in sampled]
+        assert [plain[60 - 5 * t] / plain[60] for t in range(3)] == [
+            p(xv) / top[0](xv) for p in top]
 
 
 def test_symmetric_function_without_diagonal_rotations():
@@ -236,7 +237,7 @@ def test_symmetric_function_without_diagonal_rotations():
         m.sub5 = (f5.zeta(k), 1 - f5.zeta(k), f5.zero(), f5.one())
         maps.append(m)
     grp = IcosahedralGroup(maps, (maps[1],))
-    assert _OrbitProductSampler(grp).m == 1
+    assert _OrbitCosets(grp).m == 1
     k, s = first_nonconstant_symmetric_function(grp)
     assert k == 5
     assert s == RationalFunction(Poly([0, F(5), F(-10), F(10), F(-5), F(1)]))
@@ -269,10 +270,27 @@ def test_symmetric_function_rejects_a_missing_coset_member():
         first_nonconstant_symmetric_function(_without(grp, rotation))
 
 
-def test_orbit_product_sampler_rejects_entries_outside_q_zeta5():
+def test_orbit_cosets_reject_entries_outside_q_zeta5():
     with pytest.raises(InconsistentData, match="escape"):
-        _OrbitProductSampler(
-            IcosahedralGroup([MoebiusMap(I_UNIT, 0, 0, 1)], ()))
+        _OrbitCosets(IcosahedralGroup([MoebiusMap(I_UNIT, 0, 0, 1)], ()))
+
+
+def test_symmetric_function_rejects_an_irrational_orbit_coefficient():
+    # x -> zeta^k (x - zeta) + zeta fixes zeta, not 0: only the identity is
+    # diagonal, so m = 1, and the orbit product (T - zeta)^5 - (x - zeta)^5
+    # has T^4 coefficient -5 zeta
+    f5 = cyclotomic_field(5)
+    zeta = f5.zeta(1)
+    maps = []
+    for k in range(5):
+        sub = (f5.zeta(k), zeta * (1 - f5.zeta(k)), f5.zero(), f5.one())
+        m = MoebiusMap(*sub)
+        m.sub5 = sub
+        maps.append(m)
+    grp = IcosahedralGroup(maps, (maps[1],))
+    assert _OrbitCosets(grp).m == 1
+    with pytest.raises(InconsistentData, match="not rational"):
+        first_nonconstant_symmetric_function(grp)
 
 
 def test_moebius_equivalence_synthetic():
