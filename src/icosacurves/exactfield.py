@@ -7,8 +7,14 @@ identifications.  Quadratic fields Q(sqrt(D)) and the towers
 Q(sqrt(d))(sqrt(D)) carry the curve models.  Every element is an integer
 vector over one positive denominator, kept in lowest terms, and both kinds
 share one set of operators; only the integer product differs by field.
-Each field also maps its basis mod a prime (residues), the ring map onto the
-prime field behind the modular certificates of polyring.
+The inverse is den * c / N for c the product of the other Galois
+conjugates of the integer vector and N their norm, a rational integer: a
+cyclotomic field builds c one prime-index step of (Z/n)^* at a time, a
+quadratic field by negating square roots.  A cyclotomic field's product is
+a convolution and its reduction mod the cyclotomic polynomial (reduce),
+which polyring's packed polynomial product shares.  Each field also maps
+its basis mod a prime (residues), the ring map onto the prime field behind
+the modular certificates of polyring.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta20) < ambient: the Galois
@@ -22,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FactoringExhausted, NotInAmbientField
-from .polyring import Poly, clear_denominators, inverse_mod, solve_linear
+from .polyring import clear_denominators, solve_linear
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -107,14 +113,19 @@ class CyclotomicField:
 
     def mul(self, a, b):
         """The product of two integer vectors on the power basis: the one
-        cyclotomic multiply kernel."""
-        d = self.degree
-        conv = [0] * (2 * d - 1)
+        cyclotomic multiply kernel, a convolution and its reduction."""
+        conv = [0] * (2 * self.degree - 1)
         b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 for j, y in b_terms:
                     conv[i + j] += x * y
+        return self.reduce(conv)
+
+    def reduce(self, conv):
+        """The power-basis vector of a polynomial of degree at most
+        2 * degree - 2 in zeta, given as its list of coefficients."""
+        d = self.degree
         out = conv[:d]
         for k in range(d, 2 * d - 1):
             c = conv[k]
@@ -122,6 +133,61 @@ class CyclotomicField:
                 for j, r in self._rows[k]:
                     out[j] += c * r
         return tuple(out)
+
+    @functools.cache
+    def _galois_rows(self, k):
+        """Per basis element zeta^j, the nonzero (index, value) of
+        zeta^(jk) on the power basis."""
+        return tuple(tuple((i, v) for i, v in enumerate(self.zeta(j * k).ints)
+                           if v)
+                     for j in range(self.degree))
+
+    def galois(self, ints, k):
+        """The image of an integer vector under zeta -> zeta^k, k a unit
+        mod n."""
+        out = [0] * self.degree
+        for c, row in zip(ints, self._galois_rows(k)):
+            if c:
+                for i, v in row:
+                    out[i] += c * v
+        return tuple(out)
+
+    @functools.cache
+    def _norm_steps(self):
+        """(k, p) per step of a chain 1 = H_0 < H_1 < ... = (Z/n)^* of
+        subgroups, each of prime index p in the next, which zeta -> zeta^k
+        generates over the one before.  Some power u^(e/p) of a unit u
+        outside H, for e its order over H and p a prime dividing e, has
+        order p over H."""
+        n = self.n
+        units = {u for u in range(n) if math.gcd(u, n) == 1}
+        sub, steps = {1 % n}, []
+        while len(sub) < len(units):
+            u = min(units - sub)
+            e, v = 1, u
+            while v not in sub:
+                e, v = e + 1, v * u % n
+            p = next(q for q in range(2, e + 1) if e % q == 0)
+            k = pow(u, e // p, n)
+            sub = {s * pow(k, i, n) % n for s in sub for i in range(p)}
+            steps.append((k, p))
+        return tuple(steps)
+
+    def norm_cofactor(self, ints):
+        """(c, N): c the product of the nontrivial Galois conjugates of the
+        integer vector ints and N = ints * c its norm, a rational integer.
+        Step (k, p) of _norm_steps takes b, fixed by H_i, to its relative
+        norm b * t(b) * ... * t^(p-1)(b), fixed by H_(i+1), for t the map
+        zeta -> zeta^k, and multiplies c by the same cofactor."""
+        b, c = ints, None
+        for k, p in self._norm_steps():
+            cof = conj = self.galois(b, k)
+            for _ in range(p - 2):
+                conj = self.galois(conj, k)
+                cof = self.mul(cof, conj)
+            b = self.mul(b, cof)
+            c = cof if c is None else self.mul(c, cof)
+        return c or (1,), b[0]  # no step: the field is Q
 
     # -- element construction -------------------------------------------------
 
@@ -183,8 +249,9 @@ class _IntVectorElement:
     ints is a tuple of integers and den a positive integer with
     gcd(den, *ints) == 1, so each value has one representation.  Sums
     combine the integer vectors and products run field.mul, the field's
-    integer product.  A subclass supplies _coerce (the other operand as an
-    element of this field, or None) and inverse.
+    integer product and inverses field.norm_cofactor, the product of the
+    other conjugates and the norm.  A subclass supplies _coerce (the other
+    operand as an element of this field, or None).
     """
 
     __slots__ = ("field", "ints", "den")
@@ -260,9 +327,23 @@ class _IntVectorElement:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
+
+    def inverse(self):
+        """den * c / N, for c the product of the other Galois conjugates of
+        ints and N = ints * c their norm, a rational integer, from
+        field.norm_cofactor (Cohen, A Course in Computational Algebraic
+        Number Theory, 4.3)."""
+        if not self:
+            raise DivisionByZero("inverse of zero")
+        c, norm = self.field.norm_cofactor(self.ints)
+        if not norm:
+            raise DivisionByZero("zero divisor of a quadratic tower")
+        sign = -1 if norm < 0 else 1
+        return self._new(tuple(v * self.den * sign for v in c), abs(norm))
 
     def __bool__(self):
         return any(self.ints)
@@ -314,15 +395,6 @@ class CycloElement(_IntVectorElement):
         except NotInAmbientField:
             return False  # the other value lies outside the ambient field
 
-    def inverse(self):
-        """den times the inverse of ints modulo the cyclotomic polynomial."""
-        if not self:
-            raise DivisionByZero("inverse of zero cyclotomic element")
-        inv = inverse_mod(Poly(self.ints), Poly(self.field.modulus))
-        ints, den = clear_denominators(inv.coeffs)
-        ints += [0] * (self.field.degree - len(ints))
-        return self._new(tuple(c * self.den for c in ints), den)
-
     def __hash__(self):
         # a rational element hashes like the Fraction it equals
         if self.is_rational():
@@ -348,16 +420,29 @@ class AlgebraicNumber(CycloElement):
 
 @functools.cache
 def _subfield_basis_images(n):
-    """Images of the power basis of the order-n field inside the ambient one."""
+    """Integer vectors of the images of the power basis of the order-n field
+    inside the ambient one."""
     if 60 % n != 0:
         raise ValueError("not a subfield order")
-    amb = cyclotomic_field(60)
-    return tuple(AlgebraicNumber(amb.zeta(60 // n * j).coeffs)
+    zeta = cyclotomic_field(60).zeta
+    return tuple(zeta(60 // n * j).ints
                  for j in range(cyclotomic_field(n).degree))
 
 
+@functools.cache
+def _class_root_product(classes):
+    """The integer vector of the product of the pinned square roots of the
+    classes, an algebraic integer of the ambient field."""
+    roots = [SQRT_BY_CLASS.get(D) for D in classes]
+    if None in roots:
+        raise NotInAmbientField("square class outside the ambient field",
+                                classes=classes)
+    return math.prod(roots, start=AlgebraicNumber([1])).ints
+
+
 def to_ambient(x):
-    """Embed a subfield or quadratic-field element into the ambient field."""
+    """Embed a subfield or quadratic-field element into the ambient field:
+    one integer matrix-vector product over x's denominator."""
     if isinstance(x, AlgebraicNumber):
         return x
     if isinstance(x, (int, Fraction)):
@@ -365,25 +450,22 @@ def to_ambient(x):
     if isinstance(x, QuadraticElement):
         # only the terms present, so that a part in a square class outside
         # the ambient field may vanish
-        def image(m):
-            roots = [SQRT_BY_CLASS.get(D) for D in x.field.basis(m)]
-            if any(r is None for r in roots):
-                raise NotInAmbientField("square class outside the ambient "
-                                        "field", classes=x.field.basis(m))
-            return math.prod(roots, start=AlgebraicNumber([1]))
+        rows = [_class_root_product(x.field.basis(m)) if c else ()
+                for m, c in enumerate(x.ints)]
     else:
-        image = _subfield_basis_images(x.field.n).__getitem__
-    acc = AlgebraicNumber()
-    for m, c in enumerate(x.coeffs):
+        rows = _subfield_basis_images(x.field.n)
+    out = [0] * 16
+    for c, row in zip(x.ints, rows):
         if c:
-            acc = acc + image(m) * c
-    return acc
+            for i, v in enumerate(row):
+                out[i] += c * v
+    return cyclotomic_field(60).from_ints(tuple(out), x.den)
 
 
 def to_subfield(x, n):
     """Project an ambient element into the order-n subfield, or None."""
     # sum_j c_j * image_j == x: 16 equations in one unknown per image
-    cols = [img.coeffs for img in _subfield_basis_images(n)]
+    cols = _subfield_basis_images(n)
     sol = solve_linear(list(zip(*cols)), x.coeffs)
     return None if sol is None else cyclotomic_field(n).element(sol)
 
@@ -432,13 +514,7 @@ def _tower():
 
 def _galois(x, k):
     """The image of an ambient element under zeta -> zeta^k."""
-    zeta = x.field.zeta
-    out = [0] * x.field.degree
-    for j, c in enumerate(x.ints):
-        if c:
-            for i, v in enumerate(zeta(j * k).ints):
-                out[i] += c * v
-    return x._new(tuple(out), x.den)
+    return x._new(x.field.galois(x.ints, k), x.den)
 
 
 def rational_square_root(q):
@@ -517,6 +593,17 @@ class QuadraticField:
                     if y:
                         out[j ^ k] += x * y * sq[j & k]
         return tuple(out)
+
+    def norm_cofactor(self, ints):
+        """(c, N): c the product of the other conjugates of the integer
+        vector ints, each negating the square roots of some classes, and
+        N = ints * c its norm, a rational integer."""
+        c = None
+        for s in range(1, len(ints)):  # negate the roots of the bits of s
+            conj = tuple(-v if (m & s).bit_count() & 1 else v
+                         for m, v in enumerate(ints))
+            c = conj if c is None else self.mul(c, conj)
+        return c, self.mul(ints, c)[0]
 
     def from_ints(self, ints, den=1):
         """The element ints / den in lowest terms, from a tuple of integers
@@ -619,22 +706,6 @@ class QuadraticElement(_IntVectorElement):
             return (self.is_rational() and other.is_rational()
                     and self.rational_value() == other.rational_value())
         return super().__eq__(other)
-
-    def inverse(self):
-        """The product of the other conjugates divided by the norm."""
-        if not self:
-            raise DivisionByZero("inverse of zero quadratic element")
-        x, mul = self.ints, self.field.mul
-        y = None
-        for s in range(1, len(x)):  # negate the square roots of the bits of s
-            c = tuple(-v if (m & s).bit_count() & 1 else v
-                      for m, v in enumerate(x))
-            y = c if y is None else mul(y, c)
-        norm = mul(x, y)[0]
-        if not norm:
-            raise DivisionByZero("zero divisor of a quadratic tower")
-        sign = -1 if norm < 0 else 1
-        return self._new(tuple(v * self.den * sign for v in y), abs(norm))
 
     def __hash__(self):
         # equal values hash alike: a rational as its Fraction, a value in the

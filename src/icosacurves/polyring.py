@@ -5,12 +5,18 @@ elements; any type with exact +, -, *, / and truthiness works, and plain
 ints coerce through the coefficient type's own arithmetic.  Polynomials are
 stored lowest degree first with trailing zeros stripped.
 
-The modular certificates and the Taylor shifts of moebius_substitute read a
-coefficient that is not an int or Fraction only through three attributes:
-ints, a tuple of integers, over den, a positive integer, on the basis of
-field.  field.residues(prime) gives the images of that basis under a ring
-map onto the integers mod prime, or None where there is no such map, and
-field.from_ints(ints, den) builds the element ints / den in lowest terms.
+The modular certificates, the Taylor shifts of moebius_substitute and the
+packed product read a coefficient that is not an int or Fraction only
+through three attributes: ints, a tuple of integers, over den, a positive
+integer, on the basis of field.  field.residues(prime) gives the images of
+that basis under a ring map onto the integers mod prime, or None where
+there is no such map, and field.from_ints(ints, den) builds the element
+ints / den in lowest terms.  A field whose basis is the power basis
+1, z, ..., z^(d-1) of one root z also has field.reduce(conv), the basis
+vector of sum_j conv[j] z^j for a list of 2d - 1 integers; a product of two
+polynomials whose field coefficients all share one such field is one
+integer multiply (_packed_product), and every other product, Fractions
+only included, runs the schoolbook loop.
 """
 
 import math
@@ -101,6 +107,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        fields = {getattr(c, "field", None) for c in a + b
+                  if not isinstance(c, (int, Fraction))}
+        if len(fields) == 1:
+            field = fields.pop()
+            if hasattr(field, "reduce"):
+                return Poly(_packed_product(a, b, field))
         # a slot's first product is stored, not added to a zero, which for
         # field-element coefficients would cost a full vector addition
         out = [None] * (len(a) + len(b) - 1)
@@ -123,8 +135,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __call__(self, x):
@@ -207,6 +220,79 @@ def clear_denominators(values):
     if den == 1:
         return [c.numerator for c in values], 1
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _integer_rows(coeffs, dim):
+    """(rows, den): each coefficient as a tuple of dim integers over the one
+    common denominator den, a rational at basis position 0."""
+    pairs = [((c.numerator,) + (0,) * (dim - 1), c.denominator)
+             if isinstance(c, (int, Fraction)) else (c.ints, c.den)
+             for c in coeffs]
+    den = math.lcm(*(d for _, d in pairs))
+    return [ints if d == den else tuple(v * (den // d) for v in ints)
+            for ints, d in pairs], den
+
+
+def _pack(rows, width, block):
+    """The integer sum of rows[i][j] * 2^(8 width (i block + j)): each row
+    a block of digits, padded with zero digits to block, and each digit
+    stored as width little-endian bytes plus half their range, a bias
+    taken off once in the end."""
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    pad = zero * (block - len(rows[0]))
+    data = b"".join(b"".join([(v + half).to_bytes(width, "little")
+                              for v in row]) + pad if any(row)
+                    else zero * block for row in rows)
+    return int.from_bytes(data, "little") - _bias(len(rows) * block, width)
+
+
+def _bias(count, width):
+    """count digits of width bytes, each half the digit range."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * count, "little")
+
+
+def _unpack(value, count, width, block):
+    """The count signed digits of width bytes of value, each of absolute
+    value below half the digit range, as blocks of block digits, and None
+    for a block of zeros.  Biased by that half, every digit is nonnegative
+    and below the range, so the bytes carry no borrows."""
+    half = 1 << (8 * width - 1)
+    data = (value + _bias(count, width)).to_bytes(count * width, "little")
+    size = block * width
+    zero = half.to_bytes(width, "little") * block
+    return [None if data[k:k + size] == zero else
+            [int.from_bytes(data[i:i + width], "little") - half
+             for i in range(k, k + size, width)]
+            for k in range(0, count * width, size)]
+
+
+def _packed_product(a, b, field):
+    """The coefficients of the product of two coefficient lists whose
+    coefficients are ints, Fractions and elements of field, on the power
+    basis of one root of degree d, by one integer multiply (Kronecker
+    substitution; Schoenhage 1982, Harvey 2009).
+
+    Over one denominator per factor, coefficient i at basis position j is
+    digit i (2d - 1) + j of one integer.  A digit of the product is the
+    coefficient of zeta^j in the convolution of the two vectors, j up to
+    2d - 2, a sum of at most min(len(a), len(b)) * d products, so the
+    bound min(len(a), len(b)) * d * max|a| * max|b| and a sign bit fix
+    the digit width.  field.reduce takes each block of 2d - 1 digits to
+    the basis; a block of zeros is the coefficient 0.
+    """
+    dim = next(len(c.ints) for c in a + b
+               if not isinstance(c, (int, Fraction)))
+    (ra, da), (rb, db) = _integer_rows(a, dim), _integer_rows(b, dim)
+    bound = (min(len(a), len(b)) * dim * max(max(map(abs, r)) for r in ra)
+             * max(max(map(abs, r)) for r in rb))
+    width = (bound.bit_length() + 8) // 8  # bound < 2^(8 width - 1)
+    block = 2 * dim - 1
+    blocks = _unpack(_pack(ra, width, block) * _pack(rb, width, block),
+                     (len(a) + len(b) - 1) * block, width, block)
+    den = da * db
+    return [0 if conv is None else field.from_ints(field.reduce(conv), den)
+            for conv in blocks]
 
 
 def inverse_mod(p, m):
@@ -609,16 +695,11 @@ def _unit_shift(values):
         # the operators carry every value into the field that holds them all
         zero = sum(c * 0 for c in elems)
         values = elems = [zero + c for c in values]
-    dim = len(elems[0].ints)
-    pairs = [((c.numerator,) + (0,) * (dim - 1), c.denominator)
-             if isinstance(c, (int, Fraction)) else (c.ints, c.den)
-             for c in values]
-    den = math.lcm(*(d for _, d in pairs))
-    cols = [[ints[k] * (den // d) for ints, d in pairs] for k in range(dim)]
-    cols = [_shift_ints(col) if any(col) else col for col in cols]
+    rows, den = _integer_rows(values, len(elems[0].ints))
+    cols = [_shift_ints(col) if any(col) else col for col in zip(*rows)]
     field = elems[0].field
     return [field.from_ints(tuple(col[j] for col in cols), den)
-            for j in range(len(pairs))]
+            for j in range(len(rows))]
 
 
 def _affine(values, t, s):

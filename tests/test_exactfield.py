@@ -22,6 +22,7 @@ from icosacurves.errors import (
 )
 from icosacurves.exactfield import (
     AlgebraicNumber,
+    CyclotomicField,
     I_UNIT,
     OMEGA,
     QuadraticElement,
@@ -42,6 +43,7 @@ from icosacurves.exactfield import (
 )
 from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import build_icosahedral_group
+from icosacurves.polyring import Poly, clear_denominators, inverse_mod
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,6 +151,58 @@ def test_inverse_round_trip():
     assert x * x.inverse() == 1
     with pytest.raises(DivisionByZero):
         AlgebraicNumber().inverse()
+
+
+def euclid_inverse(x):
+    """Oracle: (ints, den) of 1/x from den times the inverse of ints modulo
+    the cyclotomic polynomial, by the extended Euclidean algorithm."""
+    inv = inverse_mod(Poly(x.ints), Poly(x.field.modulus))
+    values = [c * x.den for c in inv.coeffs]
+    values += [Fraction(0)] * (x.field.degree - len(values))
+    ints, den = clear_denominators(values)
+    return tuple(ints), den
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 20, 21, 60])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_inverse_by_the_norm_matches_the_euclid_oracle(n, data):
+    field = cyclotomic_field(n)
+    ints = data.draw(st.lists(st.integers(-40, 40), min_size=field.degree,
+                              max_size=field.degree))
+    x = field.from_ints(tuple(ints), data.draw(st.integers(1, 12)))
+    if not x:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+        return
+    y = x.inverse()
+    assert (y.ints, y.den) == euclid_inverse(x)
+    assert y.den > 0 and math.gcd(y.den, *y.ints) == 1
+    assert len(y.ints) == field.degree and x * y == 1
+
+
+def test_a_zero_divisor_of_a_quadratic_tower_has_no_inverse():
+    # sqrt5 - sqrt5' in Q(sqrt5)(sqrt5), a ring with zero divisors
+    x = exactfield._quadratic_field((5, 5)).from_ints((0, 1, -1, 0))
+    assert x
+    with pytest.raises(DivisionByZero):
+        x.inverse()
+
+
+def test_a_power_forms_no_square_past_the_last_bit():
+    class Counting(CyclotomicField):
+        products = 0
+
+        def mul(self, a, b):
+            Counting.products += 1
+            return super().mul(a, b)
+
+    x = Counting(5).element([1, 2])
+    assert x ** 5 == x * x * x * x * x
+    Counting.products = 0
+    x ** 5
+    # 1 * x, x^2, x^4 and x * x^4; no x^8
+    assert Counting.products == 4
 
 
 coeff_strategy = st.integers(min_value=-9, max_value=9)

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,12 +16,19 @@ from icosacurves.errors import (
     InconsistentData,
     ZeroPolynomial,
 )
-from icosacurves.exactfield import QuadraticElement, cyclotomic_field
+from icosacurves import polyring
+from icosacurves.exactfield import (
+    CyclotomicField,
+    QuadraticElement,
+    cyclotomic_field,
+)
 from icosacurves.polyring import (
     Poly,
     RationalFunction,
     _CERT_PRIMES,
     _bareiss_det,
+    _pack,
+    _unpack,
     certified_coprime,
     clear_denominators,
     compose_rational,
@@ -137,6 +145,119 @@ def test_poly_over_cyclotomic_coefficients():
     g = (p * p).gcd(p * q)
     assert g.degree == 1
     assert g.monic() == p.monic()
+
+
+def test_poly_power_forms_no_square_past_the_last_bit():
+    degrees = []
+    multiply = Poly.__mul__
+
+    def spy(p, q):
+        out = multiply(p, q)
+        degrees.append(out.degree)
+        return out
+
+    with mock.patch.object(Poly, "__mul__", spy):
+        assert Poly([1, 1]) ** 5 == Poly([1, 5, 10, 10, 5, 1])
+    # 1 * p, p^2, p^4 and p * p^4; no p^8
+    assert degrees == [1, 2, 4, 5]
+
+
+def schoolbook(p, q):
+    """Oracle: the product one coefficient product at a time."""
+    if not p or not q:
+        return Poly()
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def _packed_calls(p, q):
+    """p * q, and how many packed products it ran."""
+    with mock.patch.object(polyring, "_packed_product",
+                           wraps=polyring._packed_product) as spy:
+        out = p * q
+    return out, spy.call_count
+
+
+def _near_powers_of_two(bits):
+    """Integers at and next to +-(2^k - 1), the largest digit of k + 1
+    signed bits, for k up to bits."""
+    return st.builds(lambda k, off, sign: sign * ((1 << k) - 1 + off),
+                     st.integers(0, bits), st.integers(-1, 1),
+                     st.sampled_from([1, -1]))
+
+
+def packed_coeff(field):
+    """An int, a Fraction, a zero or an element of field, whose integers
+    are small or near a power of two."""
+    ints = st.one_of(st.integers(-3, 3), _near_powers_of_two(80))
+    element = st.builds(
+        lambda cs, den: field.from_ints(tuple(cs), den),
+        st.lists(ints, min_size=field.degree, max_size=field.degree),
+        st.sampled_from([1, 1, 2, 3, 7, 2 ** 40 + 15]))
+    return st.one_of(element, element, st.just(0), st.just(F(0)), ints,
+                     st.builds(F, ints, st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("n", [5, 15, 60])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_product_matches_the_schoolbook_loop(n, data):
+    field = cyclotomic_field(n)
+    coeffs = st.lists(packed_coeff(field), min_size=1, max_size=7)
+    p, q = Poly(data.draw(coeffs)), Poly(data.draw(coeffs))
+    got, packed = _packed_calls(p, q)
+    assert got == schoolbook(p, q)
+    on_field = any(getattr(c, "field", None) is field
+                   for c in p.coeffs + q.coeffs)
+    assert packed == (on_field and bool(p) and bool(q))
+    if packed:
+        assert all(c.field is field for c in got.coeffs if c)
+
+
+@pytest.mark.parametrize("n", [5, 15, 60])
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+@pytest.mark.parametrize("step", [0, 1])
+def test_packed_product_at_a_digit_width_boundary(n, width, step):
+    # every entry M of both factors puts d * M^2, the digit-width bound,
+    # into the middle digit of the convolution: just under the sign bit
+    # of width bytes for step 0, just over it for step 1
+    field = cyclotomic_field(n)
+    d = field.degree
+    m = math.isqrt(((1 << (8 * width - 1)) - 1) // d) + step
+    x = field.from_ints((m,) * d)
+    for p, q in [(Poly([x]), Poly([x])), (Poly([x]), Poly([-x])),
+                 (Poly([x, -x, 0, x]), Poly([-x, x]))]:
+        got, packed = _packed_calls(p, q)
+        assert packed == 1 and got == schoolbook(p, q)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_digits_just_under_the_sign_bit_survive_pack_and_unpack(width):
+    top = (1 << (8 * width - 1)) - 1
+    rows = [(top, -top, 0), (-top, 1, -1), (0, 0, top)]
+    value = _pack(rows, width, 5)
+    assert value == sum(v << (8 * width * (5 * i + j))
+                        for i, row in enumerate(rows)
+                        for j, v in enumerate(row))
+    assert _unpack(value, 20, width, 5) == [
+        list(row + (0, 0)) for row in rows] + [None]
+
+
+def test_products_across_fields_keep_the_schoolbook_loop():
+    # two field objects of one order, and Gaussian against Q(zeta60)
+    other5 = CyclotomicField(5)
+    z, w = cyclotomic_field(5).zeta(), other5.element([0, 0, 1])
+    amb = cyclotomic_field(60)
+    gauss = QuadraticElement(F(1, 2), 3, -1)
+    for p, q in [(Poly([z, 1, w]), Poly([w, z])),
+                 (Poly([F(2, 3), w]), Poly([z, 0, 5])),
+                 (Poly([gauss, 1]), Poly([amb.zeta(7), gauss, 2])),
+                 (Poly([gauss, F(1, 3)]), Poly([gauss, 1]))]:
+        got, packed = _packed_calls(p, q)
+        assert packed == 0 and got == schoolbook(p, q)
 
 
 def test_clear_denominators_and_primitive():
