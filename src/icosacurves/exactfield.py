@@ -584,7 +584,11 @@ class QuadraticField:
         return tuple(c for bit, c in enumerate(self.classes) if m >> bit & 1)
 
     def mul(self, a, b):
-        """The product of two integer vectors on the basis."""
+        """The product of two integer vectors on the basis: two terms in
+        Q(sqrt(D)), the basis-bit loop in a tower."""
+        if len(a) == 2:
+            (a0, a1), (b0, b1) = a, b
+            return a0 * b0 + a1 * b1 * self.D, a0 * b1 + a1 * b0
         sq = self.squares
         out = [0] * len(sq)
         for j, x in enumerate(a):

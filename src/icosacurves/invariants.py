@@ -22,7 +22,7 @@ from .errors import (
     NormalizationUndefined,
     OrderTooLarge,
 )
-from .exactfield import QuadraticElement
+from .exactfield import QuadraticElement, _IntVectorElement
 from .polyring import Poly, _inv, primitive_part
 
 
@@ -249,8 +249,10 @@ def covariant_vanishing_checks(f, genus):
 
 
 def _demote(x):
-    """Drop a quadratic wrapper whose irrational part vanishes."""
-    if isinstance(x, QuadraticElement) and x.b == 0:
+    """Drop a quadratic wrapper whose irrational part vanishes: the part
+    a, read when the sqrt(D) half of the integer vector is zero."""
+    if isinstance(x, QuadraticElement) and not any(
+            x.ints[len(x.ints) // 2:]):
         return x.a
     return x
 
@@ -284,6 +286,13 @@ def dihedral_invariants(b):
     (b_(d-1)/b_0)^(d-i) (b_0/b_d)^(d-i) would keep a third power: two
     factors whose heights grow with d - i while their product stays
     small, so every step would pay a big-number gcd to cancel them.
+
+    When b_0 or b_d lies in an integer-vector field (Q(i), Q(sqrt(d))(i),
+    a cyclotomic field) and every other coefficient lies there too or is
+    rational, the formula runs on integer vectors (_vector_invariants).
+    A rational list keeps the Fraction loop (_fraction_invariants): there
+    b_d is often thousands of bits long, and Fraction's cross-reduction
+    of each product beats carrying unreduced powers.
     """
     b = list(b)
     d = len(b) - 1
@@ -292,6 +301,28 @@ def dihedral_invariants(b):
     if b[0] == 0 or b[d] == 0:
         raise DegenerateLeadingOrTrailing(
             "leading or trailing even coefficient vanishes")
+    ref = _vector_field_element(b)
+    vals = (_fraction_invariants(b) if ref is None
+            else _vector_invariants(b, ref))
+    return DihedralInvariants(d=d, values=tuple(reversed(vals)))
+
+
+def _vector_field_element(b):
+    """b_0 or b_d when it is an integer-vector element and every entry of
+    b is rational or of its type and field, else None.  Any other list,
+    a mixed one among them, takes the loop, which promotes or raises."""
+    ref = next((x for x in (b[0], b[-1])
+                if isinstance(x, _IntVectorElement)), None)
+    if ref is None or not all(isinstance(x, (int, Fraction))
+                              or type(x) is type(ref) and x.field is ref.field
+                              for x in b):
+        return None
+    return ref
+
+
+def _fraction_invariants(b):
+    """u_(d-1) ... u_1 by element arithmetic, each product reduced."""
+    d = len(b) - 1
     inv0, invd = _inv(b[0]), _inv(b[d])
     low, high = b[1] * inv0, b[d - 1] * invd
     low_pow, high_pow = low, high
@@ -300,7 +331,49 @@ def dihedral_invariants(b):
         vals.append(_demote(low_pow * (b[i] * invd)
                             + high_pow * (b[d - i] * inv0)))
         low_pow, high_pow = low_pow * low, high_pow * high
-    return DihedralInvariants(d=d, values=tuple(reversed(vals)))
+    return vals
+
+
+def _vector_invariants(b, ref):
+    """u_(d-1) ... u_1 on (integer vector, denominator) pairs in the field
+    of ref.  Each small ratio b_j/b_0, b_j/b_d is reduced once; the ratio
+    powers stay vector/den^k unreduced; the two terms meet over the gcd
+    of their denominators, and each u_i is reduced once, built as a
+    Fraction when its sqrt(D) half is zero.  Every u_i lies in the field,
+    as in the loop, since b_0 or b_d does."""
+    d = len(b) - 1
+    mul = ref.field.mul
+    zeros = (0,) * (len(ref.ints) - 1)
+
+    def vector(x):
+        if isinstance(x, _IntVectorElement):
+            return x.ints, x.den
+        return (x.numerator,) + zeros, x.denominator
+
+    def times(x, y):
+        return mul(x[0], y[0]), x[1] * y[1]
+
+    def ratio(x, inv):
+        """x * inv in lowest terms."""
+        ints, den = times(vector(x), inv)
+        g = math.gcd(den, *ints)
+        return tuple(c // g for c in ints), den // g
+
+    inv0, invd = vector(_inv(b[0])), vector(_inv(b[d]))
+    low, high = ratio(b[1], inv0), ratio(b[d - 1], invd)
+    low_pow, high_pow = low, high
+    plain_quadratic = isinstance(ref, QuadraticElement) and len(ref.ints) == 2
+    vals = []
+    for i in range(d - 1, 0, -1):
+        t1, d1 = times(low_pow, ratio(b[i], invd))
+        t2, d2 = times(high_pow, ratio(b[d - i], inv0))
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        ints, den = tuple(x * f1 + y * f2 for x, y in zip(t1, t2)), d1 * f1
+        vals.append(Fraction(ints[0], den) if plain_quadratic and not ints[1]
+                    else _demote(ref._new(ints, den)))
+        low_pow, high_pow = times(low_pow, low), times(high_pow, high)
+    return vals
 
 
 def check_group_relation(u, genus=None):

@@ -239,6 +239,9 @@ QUADRATIC_RECORD = {
         0, "c3f7a3173b400c75022b547cb0a8f2ce181b148fe23c6bd394b631b7e133bcf2"),
     "model --genus 60 --lambda 987653/912347": (
         0, "deeb73f79c4d47f35dd6c5d24a0dd3c3d389033613ebdf60d047c70bf0b6e9c9"),
+    # d = 210 over Q(i): 0.87 MB of digits, past the int-to-str limit
+    "invariants --genus 209 --lambda 2,3,4,5,6,7,8 --dihedral": (
+        0, "95712af7cd93bcf35358224d98ce32f195975cbdfde9640f2100d61760a48b18"),
 }
 
 

@@ -687,6 +687,37 @@ def test_quadratic_arithmetic_matches_the_fraction_pair_oracle(name, data):
         assert lowest_terms(got, size)
 
 
+def basis_loop_product(field, a, b):
+    """Oracle: basis element j times basis element k is squares[j & k]
+    times basis element j ^ k."""
+    out = [0] * len(field.squares)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j ^ k] += x * y * field.squares[j & k]
+    return tuple(out)
+
+
+big_ints = st.one_of(st.integers(-50, 50),
+                     st.integers(-2 ** 260, 2 ** 260),
+                     st.integers(2 ** 200, 2 ** 201))
+
+
+@settings(max_examples=80, deadline=None)
+@given(D=st.one_of(st.sampled_from([-1, -3, -12, 12, 5, -15, 18, -50,
+                                    FIBER_D]),
+                   st.integers(-10 ** 6, 10 ** 6).filter(
+                       lambda D: D and squarefree_part(D) != 1)),
+       a=st.tuples(big_ints, big_ints), b=st.tuples(big_ints, big_ints))
+def test_quadratic_two_term_product_matches_the_basis_loop(D, a, b):
+    field = QuadraticElement(1, 1, D).field
+    assert field.mul(a, b) == basis_loop_product(field, a, b)
+    # a tower with the same class on top keeps the loop
+    inner = 7 if field.D != 7 else 5
+    top = QuadraticElement(QuadraticElement(1, 1, inner), 1, D).field
+    a4, b4 = a + b, b[::-1] + a
+    assert top.mul(a4, b4) == basis_loop_product(top, a4, b4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(t=tower(), g=plain(-1), f=fraction_strategy)
 def test_gaussian_elements_are_promoted_into_the_tower(t, g, f):

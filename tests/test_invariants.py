@@ -11,7 +11,7 @@ from icosacurves.errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from icosacurves.exactfield import QuadraticElement
+from icosacurves.exactfield import QuadraticElement, cyclotomic_field
 from icosacurves.families import (
     _powers,
     curve_equation,
@@ -313,17 +313,70 @@ def even_coefficients(entries, max_size):
                      nonzero).map(lambda t: [t[0], *t[1], t[2]])
 
 
-gaussians = st.builds(QuadraticElement, rationals, rationals, st.just(-1))
+def quadratics(D):
+    return st.builds(QuadraticElement, rationals, rationals, st.just(D))
+
+
+gaussians = quadratics(-1)
+# Q(sqrt5)(i), each part an element of Q(sqrt5)
+sqrt5_towers = st.builds(QuadraticElement, quadratics(5), quadratics(5),
+                         st.just(-1))
+zeta5s = st.lists(rationals, min_size=4, max_size=4).map(
+    cyclotomic_field(5).element)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.one_of(even_coefficients(rationals, 40),
-                 even_coefficients(gaussians, 12)))
+@given(st.one_of(
+    even_coefficients(rationals, 40),
+    even_coefficients(gaussians, 12),
+    even_coefficients(quadratics(5), 12),
+    st.sampled_from([12, -12]).flatmap(
+        lambda D: even_coefficients(quadratics(D), 12)),
+    even_coefficients(sqrt5_towers, 8),
+    # the int 0 of even_model's vanishing slots, and rational entries
+    even_coefficients(st.one_of(gaussians, st.just(0), rationals), 12),
+    # rational ends around Gaussian entries
+    st.tuples(rationals.filter(bool), st.lists(
+        st.one_of(gaussians, st.just(0)), min_size=1, max_size=10),
+        rationals.filter(bool)).map(lambda t: [t[0], *t[1], t[2]]),
+    even_coefficients(zeta5s, 8)))
 def test_dihedral_matches_the_three_power_oracle(b):
     got = dihedral_invariants(b).values
     want = three_power_dihedral(b)
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
+    # a tower value demotes to its part in Q(sqrt5)
+    assert [getattr(v, "field", None) for v in got] == [
+        getattr(v, "field", None) for v in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    st.tuples(even_coefficients(rationals, 12), gaussians, gaussians),
+    st.tuples(even_coefficients(quadratics(5), 8), sqrt5_towers,
+              sqrt5_towers)).filter(lambda t: t[1] and t[2]))
+def test_dihedral_of_a_scaled_list_lies_in_the_base_field(data):
+    # u(c t^j b_j) = u(b): over Q(i) the values are rationals, over
+    # Q(sqrt5)(i) elements of Q(sqrt5), demoted as the oracle demotes
+    base, c, t = data
+    # an element of Q(sqrt5) enters the tower only as a part
+    b = [c * t ** j * (QuadraticElement(x, 0, -1)
+                       if isinstance(x, QuadraticElement) else x)
+         for j, x in enumerate(base)]
+    got, want = dihedral_invariants(b).values, three_power_dihedral(b)
+    assert got == want == dihedral_invariants(base).values
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert all(type(v) is (F if type(c) is QuadraticElement else
+                           QuadraticElement) for v in got)
+
+
+def test_dihedral_rejects_two_square_classes():
+    b = [QuadraticElement(1, 1, 5), F(2), QuadraticElement(1, 1, 3)]
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        dihedral_invariants(b)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        dihedral_invariants([QuadraticElement(1, 1, 5), 0, 0, F(3),
+                             QuadraticElement(2, 1, -1)])
 
 
 nonzero_rationals = rationals.filter(bool)
@@ -343,6 +396,11 @@ def test_dihedral_degenerate_ends():
         dihedral_invariants([F(0), F(1), F(2)])
     with pytest.raises(DegenerateLeadingOrTrailing):
         dihedral_invariants([F(1), F(1), F(0)])
+    i = QuadraticElement(0, 1, -1)
+    with pytest.raises(DegenerateLeadingOrTrailing):
+        dihedral_invariants([i * 0, i, 0, i])
+    with pytest.raises(DegenerateLeadingOrTrailing):
+        dihedral_invariants([i, i, 0])
 
 
 def test_group_relation_odd_genus():
