@@ -24,10 +24,6 @@ class DivisionByZero(IcosaError):
     """Inversion of the zero element of a field."""
 
 
-class NotInAmbientField(IcosaError):
-    """A square class whose root lies outside the ambient cyclotomic field."""
-
-
 class ZeroPolynomial(IcosaError):
     """An operation that needs a nonzero polynomial received the zero one."""
 

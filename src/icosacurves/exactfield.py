@@ -1,20 +1,24 @@
 """Exact arithmetic in cyclotomic and quadratic fields.
 
-The ambient field is the degree-16 cyclotomic field generated by a primitive
-60th root of unity.  Smaller cyclotomic fields (orders 3, 4, 5, ...) are fast
-internal representations that embed into it along fixed root-of-unity
-identifications.  Quadratic fields Q(sqrt(D)) and the towers
-Q(sqrt(d))(sqrt(D)) carry the curve models.  Every element is an integer
-vector over one positive denominator, kept in lowest terms, and both kinds
-share one set of operators; only the integer product differs by field.
-The inverse is den * c / N for c the product of the other Galois
-conjugates of the integer vector and N their norm, a rational integer: a
-cyclotomic field builds c one prime-index step of (Z/n)^* at a time, a
-quadratic field by negating square roots.  A cyclotomic field's product is
-a convolution and its reduction mod the cyclotomic polynomial (reduce),
-which polyring's packed polynomial product shares.  Each field also maps
-its basis mod a prime (residues), the ring map onto the prime field behind
-the modular certificates of polyring.
+Each value stays in the field it was built in.  Cyclotomic fields Q(zeta_n)
+carry the icosahedral group, over Q(zeta5), and the ambient field
+Q(zeta60), which holds the fixed points of the group's maps.  Quadratic
+fields Q(sqrt(D)) and the towers Q(sqrt(d))(sqrt(D)) carry the curve
+models.  The one lift between fields is to_ambient, of a rational or a
+cyclotomic subfield element into the ambient field.  A quadratic value is
+never embedded: against a cyclotomic value, as against another square
+class, arithmetic raises and only equal rationals compare equal.
+
+Every element is an integer vector over one positive denominator, kept in
+lowest terms, and both kinds share one set of operators; only the integer
+product differs by field.  The inverse is den * c / N for c the product of
+the other Galois conjugates of the integer vector and N their norm, a
+rational integer: a cyclotomic field builds c one prime-index step of
+(Z/n)^* at a time, a quadratic field by negating square roots.  A
+cyclotomic field's product is a convolution and its reduction mod the
+cyclotomic polynomial (reduce), which polyring's packed polynomial product
+shares.  Each field also maps its basis mod a prime (residues), the ring
+map onto the prime field behind the modular certificates of polyring.
 
 Square roots inside the ambient field are decided exactly by walking the
 quadratic tower Q < Q(sqrt5) < Q(zeta5) < Q(zeta20) < ambient: the Galois
@@ -27,7 +31,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, FactoringExhausted, NotInAmbientField
+from .errors import DivisionByZero, FactoringExhausted
 from .polyring import clear_denominators, solve_linear
 
 _ZERO = Fraction(0)
@@ -192,7 +196,14 @@ class CyclotomicField:
     # -- element construction -------------------------------------------------
 
     def element(self, coeffs):
-        return CycloElement(self, coeffs)
+        """The element with the given rational coefficients on the power
+        basis, of the type from_ints gives."""
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > self.degree:
+            raise ValueError("coefficient vector too long")
+        ints, den = clear_denominators(cs)
+        return self.from_ints(tuple(ints) + (0,) * (self.degree - len(ints)),
+                              den)
 
     def from_ints(self, ints, den=1):
         """The element ints / den in lowest terms, from a tuple of degree
@@ -368,15 +379,6 @@ class CycloElement(_IntVectorElement):
 
     __slots__ = ()
 
-    def __init__(self, field, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > field.degree:
-            raise ValueError("coefficient vector too long")
-        ints, den = clear_denominators(cs)
-        self.field = field
-        self.ints = tuple(ints) + (0,) * (field.degree - len(ints))
-        self.den = den
-
     def _coerce(self, other):
         if isinstance(other, CycloElement):
             if other.field.n != self.field.n:
@@ -385,15 +387,7 @@ class CycloElement(_IntVectorElement):
         if isinstance(other, (int, Fraction)):
             zeros = (0,) * (self.field.degree - 1)
             return self._new((other.numerator,) + zeros, other.denominator)
-        if isinstance(other, QuadraticElement) and self.field.n == 60:
-            return to_ambient(other)
         return None
-
-    def __eq__(self, other):
-        try:
-            return super().__eq__(other)
-        except NotInAmbientField:
-            return False  # the other value lies outside the ambient field
 
     def __hash__(self):
         # a rational element hashes like the Fraction it equals
@@ -410,8 +404,10 @@ class CycloElement(_IntVectorElement):
 class AlgebraicNumber(CycloElement):
     """Element of the ambient degree-16 field (order-60 root of unity)."""
 
-    def __init__(self, coeffs=()):
-        super().__init__(cyclotomic_field(60), coeffs)
+    __slots__ = ()
+
+    def __new__(cls, coeffs=()):
+        return cyclotomic_field(60).element(coeffs)
 
 
 # ----------------------------------------------------------------------------
@@ -429,33 +425,18 @@ def _subfield_basis_images(n):
                  for j in range(cyclotomic_field(n).degree))
 
 
-@functools.cache
-def _class_root_product(classes):
-    """The integer vector of the product of the pinned square roots of the
-    classes, an algebraic integer of the ambient field."""
-    roots = [SQRT_BY_CLASS.get(D) for D in classes]
-    if None in roots:
-        raise NotInAmbientField("square class outside the ambient field",
-                                classes=classes)
-    return math.prod(roots, start=AlgebraicNumber([1])).ints
-
-
 def to_ambient(x):
-    """Embed a subfield or quadratic-field element into the ambient field:
-    one integer matrix-vector product over x's denominator."""
+    """Embed a rational or an element of a cyclotomic subfield into the
+    ambient field: one integer matrix-vector product over x's denominator.
+    Any other value raises TypeError."""
     if isinstance(x, AlgebraicNumber):
         return x
     if isinstance(x, (int, Fraction)):
         return AlgebraicNumber([x])
-    if isinstance(x, QuadraticElement):
-        # only the terms present, so that a part in a square class outside
-        # the ambient field may vanish
-        rows = [_class_root_product(x.field.basis(m)) if c else ()
-                for m, c in enumerate(x.ints)]
-    else:
-        rows = _subfield_basis_images(x.field.n)
+    if not isinstance(x, CycloElement):
+        raise TypeError(f"no ambient image of a {type(x).__name__}")
     out = [0] * 16
-    for c, row in zip(x.ints, rows):
+    for c, row in zip(x.ints, _subfield_basis_images(x.field.n)):
         if c:
             for i, v in enumerate(row):
                 out[i] += c * v
@@ -474,28 +455,14 @@ def to_subfield(x, n):
 # distinguished constants (ambient field)
 # ----------------------------------------------------------------------------
 
-def _Z(k):
-    return AlgebraicNumber(cyclotomic_field(60).zeta(k).coeffs)
-
+_Z = cyclotomic_field(60).zeta
 
 I_UNIT = _Z(15)                       # the square root of -1 with positive imaginary part
 OMEGA = _Z(12) + _Z(48)               # (-1 + sqrt5)/2, the golden-section cosine
 THETA = _Z(12) - _Z(48)               # purely imaginary generator of Q(zeta5) over Q(sqrt5)
 
 SQRT5 = OMEGA * 2 + 1                 # positive real square root of 5
-SQRTM3 = _Z(20) * 2 + 1               # i*sqrt3, positive imaginary part
-SQRT3 = -I_UNIT * SQRTM3              # positive real square root of 3
-SQRTM1 = I_UNIT
-SQRT15 = SQRT3 * SQRT5
-SQRTM5 = I_UNIT * SQRT5
-SQRTM15 = I_UNIT * SQRT15
-
-# pinned square roots of the square classes present in the ambient field;
-# convention: positive real for positive D, positive imaginary for negative D
-SQRT_BY_CLASS = {
-    5: SQRT5, 3: SQRT3, 15: SQRT15,
-    -1: SQRTM1, -3: SQRTM3, -5: SQRTM5, -15: SQRTM15,
-}
+SQRT3 = -I_UNIT * (_Z(20) * 2 + 1)    # positive real square root of 3
 
 
 # ----------------------------------------------------------------------------
@@ -701,27 +668,27 @@ class QuadraticElement(_IntVectorElement):
         if isinstance(other, (int, Fraction)):
             zeros = (0,) * (len(self.ints) - 1)
             return self._new((other.numerator,) + zeros, other.denominator)
+        if isinstance(other, CycloElement):
+            raise ValueError("a quadratic and a cyclotomic field do not mix")
         return None
 
     def __eq__(self, other):
-        if (isinstance(other, QuadraticElement) and other.D != self.D
+        if isinstance(other, CycloElement) or (
+                isinstance(other, QuadraticElement) and other.D != self.D
                 and len(self.ints) == len(other.ints) == 2):
-            # two square classes share only the rationals
+            # two square classes, or a square class and a cyclotomic
+            # field, share only the rationals
             return (self.is_rational() and other.is_rational()
                     and self.rational_value() == other.rational_value())
         return super().__eq__(other)
 
     def __hash__(self):
-        # equal values hash alike: a rational as its Fraction, a value in the
-        # square classes of the ambient field as its image there, any other
-        # by the classes of its nonzero basis terms, whatever its level
+        # equal values hash alike: a rational as its Fraction, any other by
+        # the classes of its nonzero basis terms, whatever its level
         if self.is_rational():
             return hash(self.rational_value())
-        try:
-            return hash(to_ambient(self))
-        except NotInAmbientField:
-            return hash((self.den,) + tuple((self.field.basis(m), c) for m, c
-                                            in enumerate(self.ints) if c))
+        return hash((self.den,) + tuple((self.field.basis(m), c) for m, c
+                                        in enumerate(self.ints) if c))
 
     def conjugate(self):
         """sqrt(D) -> -sqrt(D), which fixes the parts."""

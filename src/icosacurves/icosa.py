@@ -17,18 +17,9 @@ from .errors import (
     OrderTooLarge,
     ParabolicElement,
 )
-from .exactfield import (
-    cyclo_sqrt,
-    cyclotomic_field,
-    to_ambient,
-    to_subfield,
-)
+from .exactfield import cyclo_sqrt, cyclotomic_field, to_ambient
 from .invariants import BinaryForm, transvectant
-from .polyring import (
-    Poly,
-    RationalFunction,
-    nullspace,
-)
+from .polyring import Poly, RationalFunction, _inv, nullspace
 
 
 def _first_entry_one(entries):
@@ -36,21 +27,21 @@ def _first_entry_one(entries):
     lead = next(e for e in entries if e)
     if lead == 1:
         return tuple(entries)
-    inv = lead.inverse()
+    inv = _inv(lead)
     return tuple(e * inv for e in entries)
 
 
 class MoebiusMap:
-    """A fractional-linear map x -> (a*x + b)/(c*x + d), up to scaling."""
+    """A fractional-linear map x -> (a*x + b)/(c*x + d), up to scaling,
+    with its entries kept in the field they were given in."""
 
-    __slots__ = ("a", "b", "c", "d", "_canon", "sub5")
+    __slots__ = ("a", "b", "c", "d", "_canon")
 
     def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (to_ambient(v) for v in (a, b, c, d))
-        if not (self.a * self.d - self.b * self.c):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        if not (a * d - b * c):
             raise ValueError("singular matrix does not define a map")
         self._canon = None
-        self.sub5 = None
 
     def canonical_entries(self):
         """Entries scaled so the first nonzero one is 1."""
@@ -146,24 +137,21 @@ def build_icosahedral_group():
     seen = _closure((one, zero, zero, one), lambda g, m: (
         g[0] * m[0] + g[1] * m[2], g[0] * m[1] + g[1] * m[3],
         g[2] * m[0] + g[3] * m[2], g[2] * m[1] + g[3] * m[3]))
-
-    def as_map(mat):
-        mm = MoebiusMap(*[to_ambient(e) for e in mat])
-        mm.sub5 = mat
-        return mm
-
     elements = sorted(seen, key=lambda m: tuple(e.coeffs for e in m))
-    return IcosahedralGroup([as_map(m) for m in elements],
-                            tuple(as_map(g) for g in _generators()))
+    return IcosahedralGroup([MoebiusMap(*m) for m in elements],
+                            tuple(MoebiusMap(*g) for g in _generators()))
 
 
 def _rational_poly(poly):
-    """A Poly over Q(zeta5) as a Fraction Poly; InconsistentData unless every
+    """A Poly over a number field, whose coefficients may also be ints and
+    Fractions, as a Fraction Poly; InconsistentData unless every
     coefficient is rational."""
-    if not all(c.is_rational() for c in poly.coeffs if c):
-        raise InconsistentData("orbit product coefficient is not rational")
-    return Poly([c.rational_value() if c else Fraction(0)
-                 for c in poly.coeffs])
+    try:
+        return Poly([Fraction(c) if isinstance(c, (int, Fraction))
+                     else c.rational_value() for c in poly.coeffs])
+    except ValueError:
+        raise InconsistentData(
+            "orbit product coefficient is not rational") from None
 
 
 # The orbit forms (Klein, Lectures on the Icosahedron, 1884): the vertex
@@ -234,11 +222,13 @@ def normalize_element_to_scaling(gamma):
     """Conjugate a finite-order map to x -> mu*x.
 
     Returns (sigma, mu, order) with sigma mapping the fixed points of gamma
-    to 0 and infinity.  Raises ParabolicElement when the fixed points
-    coincide and FixedPointsOutsideField when they live outside the ambient
-    field.
+    to 0 and infinity.  The entries of gamma are lifted into the ambient
+    field first, where the square root of its discriminant is taken.
+    Raises ParabolicElement when the fixed points coincide and
+    FixedPointsOutsideField when they live outside the ambient field.
     """
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    a, b, c, d = (to_ambient(v) for v in (gamma.a, gamma.b, gamma.c, gamma.d))
+    gamma = MoebiusMap(a, b, c, d)
     if not c:
         if a == d:
             if b:
@@ -290,15 +280,7 @@ class _OrbitCosets:
     """
 
     def __init__(self, group):
-        mats = []
-        for g in group.elements:
-            sub = getattr(g, "sub5", None)
-            if sub is None:
-                sub = tuple(to_subfield(e, 5) for e in (g.a, g.b, g.c, g.d))
-                if any(e is None for e in sub):
-                    raise InconsistentData(
-                        "group entries escape the small field")
-            mats.append(_first_entry_one(sub))
+        mats = [_first_entry_one((g.a, g.b, g.c, g.d)) for g in group.elements]
         lams = [d for a, b, c, d in mats if not b and not c]
         m = len(lams)
         if not m or len(set(lams)) != m or any(lam ** m != 1 for lam in lams):

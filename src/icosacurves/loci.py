@@ -43,7 +43,6 @@ from .polyring import (
     _bareiss_det,
     integer_primitive,
     interpolate,
-    inverse_mod,
     is_squarefree_certified,
     primitive_part,
     pseudo_remainder,
@@ -348,32 +347,26 @@ def singular_fibers(locus):
 def field_of_moduli_at(fiber, locus):
     """Squarefree d with Q(sqrt(d)) the field of moduli over the fiber.
 
-    Works in Q[lam]/(q): the first absolute-invariant generator defined
-    there is written as a + b lam; b != 0 certifies that adjoining it is
-    the same as adjoining a root of q, so the field is Q(sqrt(disc)).
+    Evaluates the absolute-invariant generators at a root of q, in
+    Q(sqrt(d)): the first one defined there that is not rational
+    certifies that adjoining it is the same as adjoining the root, so the
+    field is Q(sqrt(disc)).
     """
-    q = fiber.q.monic()
     disc = fiber.D
     if disc >= 0 and math.isqrt(disc) ** 2 == disc:
         raise ValueError("fiber quadratic is reducible")
-    I2 = locus.I2_of_lambda
-    I4 = locus.I4_of_lambda
-    I6 = locus.I6_of_lambda
-    I6s = locus.I6star_of_lambda
-    cascade = [
-        ("i3", I6s, I2 ** 3),
-        ("i3_reciprocal", I2 ** 3, I6s),
-        ("i1", I4, I2 ** 2),
-        ("i2", I6, I2 ** 3),
-        ("i4", I6 ** 2, I4 ** 3),
-    ]
+    root = _quadratic_root(fiber.q, fiber.d_table)
+    I2, I4, I6, I6s = (p(root) for p in (
+        locus.I2_of_lambda, locus.I4_of_lambda, locus.I6_of_lambda,
+        locus.I6star_of_lambda))
+    # i3, its reciprocal, i1, i2 and i4, as (numerator, denominator)
+    cascade = [(I6s, I2 ** 3), (I2 ** 3, I6s), (I4, I2 ** 2), (I6, I2 ** 3),
+               (I6 ** 2, I4 ** 3)]
     saw_rational = False
-    for _, num, den in cascade:
-        inv = inverse_mod(den, q)
-        if inv is None:
+    for num, den in cascade:
+        if not den:
             continue
-        val = num % q * inv % q
-        if val.degree >= 1:
+        if not (num / den).is_rational():
             return fiber.d_table
         saw_rational = True
     if saw_rational:

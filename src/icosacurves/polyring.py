@@ -295,20 +295,6 @@ def _packed_product(a, b, field):
             for conv in blocks]
 
 
-def inverse_mod(p, m):
-    """The inverse of p modulo m, of degree below m's, by the extended
-    Euclidean algorithm; None when p and m share a nonconstant factor."""
-    r0, r1 = m, p % m
-    s0, s1 = Poly(), Poly([1])
-    while r1:
-        quo, rem = divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quo * s1
-    if r0.degree != 0:
-        return None
-    return s0 * _inv(r0.coeffs[0])
-
-
 def primitive_part(values):
     """(content, ints) for ints and Fractions: coprime integers ints and a
     positive Fraction content with values[i] == content * ints[i]; the

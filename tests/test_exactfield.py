@@ -10,27 +10,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icosacurves import exactfield
-from icosacurves.errors import (
-    DivisionByZero,
-    FactoringExhausted,
-    IcosaError,
-    NotInAmbientField,
-)
+from icosacurves.errors import DivisionByZero, FactoringExhausted
 from icosacurves.exactfield import (
     AlgebraicNumber,
+    CycloElement,
     CyclotomicField,
     I_UNIT,
     OMEGA,
     QuadraticElement,
     SQRT3,
     SQRT5,
-    SQRT15,
-    SQRTM3,
-    SQRT_BY_CLASS,
     THETA,
     cyclo_sqrt,
     cyclotomic_field,
@@ -43,19 +36,21 @@ from icosacurves.exactfield import (
 )
 from icosacurves.fixtures import load_fixtures
 from icosacurves.icosa import build_icosahedral_group
-from icosacurves.polyring import Poly, clear_denominators, inverse_mod
+from icosacurves.invariants import _vector_field_element
+from icosacurves.polyring import Poly, _inv, clear_denominators
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-
-def _zeta60(k):
-    """zeta_60^k as an ambient element."""
-    return AlgebraicNumber(cyclotomic_field(60).zeta(k).coeffs)
-
-
+_zeta60 = cyclotomic_field(60).zeta
 ZETA = _zeta60(1)
 EPSILON5 = _zeta60(12)  # primitive 5th root, smallest positive argument
 EPSILON3 = _zeta60(40)  # primitive cube root, negative imaginary part
+
+# the pinned square roots of the square classes of the ambient field:
+# positive real for positive D, positive imaginary for negative D
+SQRT15 = SQRT3 * SQRT5
+PINNED_ROOTS = {5: SQRT5, 3: SQRT3, 15: SQRT15, -1: I_UNIT,
+                -3: I_UNIT * SQRT3, -5: I_UNIT * SQRT5, -15: I_UNIT * SQRT15}
 
 
 def brute_cyclotomic(n):
@@ -114,7 +109,7 @@ def test_cube_root_constant():
     assert EPSILON3 ** 3 == 1
     assert EPSILON3 != 1
     # the pinned cube root has negative imaginary part: 2*e3 + 1 = -(i*sqrt3)
-    assert EPSILON3 * 2 + 1 == -SQRTM3
+    assert EPSILON3 * 2 + 1 == -PINNED_ROOTS[-3]
 
 
 def test_golden_section_relation():
@@ -127,7 +122,7 @@ def test_golden_section_relation():
 def test_i_unit():
     assert I_UNIT * I_UNIT == -1
     assert SQRT15 == SQRT3 * SQRT5
-    for d, r in SQRT_BY_CLASS.items():
+    for d, r in PINNED_ROOTS.items():
         assert r * r == d
 
 
@@ -142,7 +137,7 @@ def test_pinned_roots_numerically():
     assert abs(val(SQRT3) - math.sqrt(3)) < 1e-9
     assert abs(val(SQRT15) - math.sqrt(15)) < 1e-9
     for d in (-1, -3, -5, -15):
-        v = val(SQRT_BY_CLASS[d])
+        v = val(PINNED_ROOTS[d])
         assert abs(v - 1j * math.sqrt(-d)) < 1e-9
 
 
@@ -151,6 +146,40 @@ def test_inverse_round_trip():
     assert x * x.inverse() == 1
     with pytest.raises(DivisionByZero):
         AlgebraicNumber().inverse()
+
+
+def inverse_mod(p, m):
+    """Oracle: the inverse of p modulo m, of degree below m's, by the
+    extended Euclidean algorithm; None when p and m share a nonconstant
+    factor."""
+    r0, r1 = m, p % m
+    s0, s1 = Poly(), Poly([1])
+    while r1:
+        quo, rem = divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quo * s1
+    if r0.degree != 0:
+        return None
+    return s0 * _inv(r0.coeffs[0])
+
+
+rational_poly = st.lists(st.builds(Fraction, st.integers(-4, 4),
+                                   st.integers(1, 3)),
+                         min_size=1, max_size=5).map(Poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=rational_poly, m=rational_poly, factor=rational_poly)
+def test_inverse_mod(p, m, factor):
+    assume(m.degree >= 1 and p)
+    inv = inverse_mod(p, m)
+    if p.gcd(m).degree == 0:
+        assert inv is not None and inv.degree < m.degree
+        assert (p * inv) % m == Poly([1])
+    else:
+        assert inv is None
+    if factor.degree >= 1:
+        assert inverse_mod(p * factor, m * factor) is None
 
 
 def euclid_inverse(x):
@@ -268,6 +297,21 @@ def test_ambient_product_keeps_its_type():
     assert prod == ZETA * Fraction(1, 2) + ZETA * ZETA * 3
 
 
+def test_the_ambient_field_has_one_element_type():
+    amb = cyclotomic_field(60)
+    z, a = amb.zeta(7), amb.from_ints((1, 2) + (0,) * 14, 3)
+    for x in (z, a, amb.element([1, 2]), amb.one(), AlgebraicNumber([5])):
+        assert type(x) is AlgebraicNumber and x.field is amb
+    assert type(z * a) is type(a * z) is AlgebraicNumber
+    assert type(z + a) is type(a - z) is AlgebraicNumber
+    # the ambient field embeds as itself, a subfield through its images
+    assert to_ambient(z) is z
+    assert type(to_ambient(cyclotomic_field(5).zeta())) is AlgebraicNumber
+    # a list of zeta powers and from_ints values takes the vector kernel
+    assert _vector_field_element([a, z, 1, z * a]) is a
+    assert type(cyclotomic_field(5).zeta()) is CycloElement
+
+
 def test_subfield_round_trip():
     f5 = cyclotomic_field(5)
     x = f5.element([1, 2, 0, 5])
@@ -282,7 +326,7 @@ def test_subfield_round_trip():
 def test_cyclo_sqrt_known_values():
     assert cyclo_sqrt(AlgebraicNumber([4])) == 2
     assert cyclo_sqrt(AlgebraicNumber([5])) in (SQRT5, -SQRT5)
-    root15 = SQRT_BY_CLASS[-15]
+    root15 = PINNED_ROOTS[-15]
     assert cyclo_sqrt(AlgebraicNumber([-15])) in (root15, -root15)
     r = cyclo_sqrt(-3 - OMEGA)
     assert r is not None and r * r == -3 - OMEGA
@@ -393,8 +437,8 @@ def test_quadratic_element_reduces_d_to_its_squarefree_class():
     assert hash(root12) == hash(2 * QuadraticElement(0, 1, 3))
     assert root12 * root12 == 12
     assert QuadraticElement(1, 1, -4) == QuadraticElement(1, 2, -1)
-    assert to_ambient(QuadraticElement(0, 1, -4)) == 2 * I_UNIT
-    assert QuadraticElement(Fraction(1, 3), 1, 45) == 3 * SQRT5 + Fraction(1, 3)
+    assert QuadraticElement(Fraction(1, 3), 1, 45) == QuadraticElement(
+        Fraction(1, 3), 3, 5)
     # a class outside the ambient field, with a large square factor
     p = 10 ** 9 + 7
     big = QuadraticElement(1, 1, 7 * p * p)
@@ -434,22 +478,24 @@ def test_a_class_from_squarefree_part_is_not_factored_again(monkeypatch):
     assert QuadraticElement(x.a, -x.b, x.D) == x.conjugate()
 
 
-def test_a_class_outside_the_ambient_field_raises_a_typed_error():
+def test_a_quadratic_value_has_no_ambient_image():
+    # not even in a square class whose root the ambient field holds
+    for x in (QuadraticElement(1, 1, 7), QuadraticElement(1, 1, -1),
+              QuadraticElement(QuadraticElement(0, 1, 5), 1, -1)):
+        for call in (to_ambient, cyclo_sqrt):
+            with pytest.raises(TypeError):
+                call(x)
     x = QuadraticElement(1, 1, 7)
-    for call in (lambda: to_ambient(x), lambda: cyclo_sqrt(x),
-                 lambda: AlgebraicNumber([1]) + x, lambda: x + ZETA):
-        with pytest.raises(NotInAmbientField) as err:
-            call()
-        assert isinstance(err.value, IcosaError)
-        assert err.value.to_json()["classes"] == "(7,)"
     assert len({x, QuadraticElement(1, 1, 7)}) == 1
+    with pytest.raises(TypeError):
+        to_ambient(Poly([1, 2]))
 
 
 def test_an_element_outside_the_ambient_field_is_unequal_to_every_one_in_it():
     x = QuadraticElement(1, 1, 7)
     assert (ZETA == x) is False and (x == ZETA) is False
     assert ZETA != x and x != ZETA
-    with pytest.raises(NotInAmbientField):
+    with pytest.raises(ValueError):
         ZETA + x
 
 
@@ -563,19 +609,33 @@ def test_quadratic_elements_hash_like_their_value():
 
 @settings(max_examples=40, deadline=None)
 @given(a=fraction_strategy, b=fraction_strategy,
-       D=st.sampled_from(sorted(SQRT_BY_CLASS)))
-def test_quadratic_elements_hash_like_their_ambient_image(a, b, D):
+       D=st.sampled_from(sorted(PINNED_ROOTS)),
+       n=st.sampled_from([5, 15, 60]))
+def test_quadratic_and_cyclotomic_values_meet_only_on_rationals(a, b, D, n):
+    # the rule of two square classes: a quadratic value and a cyclotomic
+    # one, even its pinned image, do not mix and are equal only as equal
+    # rationals, so == agrees with the hashes
     x = QuadraticElement(a, b, D)
-    image = to_ambient(x)
-    assert x == image and image == x
-    assert hash(x) == hash(image)
-    assert x in {image} and image in {x}
-    # the same value with parts in Q(sqrt 7), a class outside the ambient
-    # field, whose irrational parts happen to vanish
+    field = cyclotomic_field(n)
+    image = PINNED_ROOTS[D] * b + a if n == 60 else field.element([a, b])
+    for got, other in ((x, image), (image, x)):
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            with pytest.raises(ValueError):
+                op(got, other)
+        assert (got == other) is (not b and image.is_rational())
+        assert (got != other) is not (got == other)
+    if x == image:
+        assert hash(x) == hash(image) == hash(a)
+        assert len({x, image}) == 1
+    else:
+        assert len({x, image}) == 2
+    # the same value with parts in Q(sqrt 7) whose irrational parts
+    # happen to vanish
     tower = QuadraticElement(QuadraticElement(a, 0, 7),
                              QuadraticElement(b, 0, 7), D)
     assert tower == x and hash(tower) == hash(x)
-    assert len({x, image, tower}) == 1
+    assert len({x, tower}) == 1
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from icosacurves.errors import (
     OrderTooLarge,
     ParabolicElement,
 )
-from icosacurves.exactfield import AlgebraicNumber, I_UNIT, cyclotomic_field
+from icosacurves.exactfield import QuadraticElement, cyclotomic_field
 from icosacurves.icosa import (
     IcosahedralGroup,
     MoebiusMap,
@@ -31,8 +31,9 @@ from icosacurves.icosa import (
 from icosacurves.polyring import Poly, RationalFunction, compose_rational
 
 F = Fraction
-ZETA = AlgebraicNumber(cyclotomic_field(60).zeta(1).coeffs)
+ZETA = cyclotomic_field(60).zeta(1)
 EPSILON5 = ZETA ** 12  # primitive 5th root, smallest positive argument
+F5 = cyclotomic_field(5)
 
 
 def orbit_invariance_check(func, group):
@@ -54,6 +55,15 @@ def test_generator_orders():
     assert gb.order() == 5
 
 
+def test_group_maps_stay_over_q_zeta5():
+    g = build_icosahedral_group()
+    for m in g.elements + list(g.generators):
+        assert all(e.field is F5 for e in (m.a, m.b, m.c, m.d))
+    # normalize_element_to_scaling lifts into the ambient field itself
+    sigma, mu, _ = normalize_element_to_scaling(g.generators[1])
+    assert mu.field is ZETA.field and sigma.b.field is ZETA.field
+
+
 def test_group_closure_sampled():
     g = build_icosahedral_group()
     members = set(g.elements)
@@ -67,6 +77,7 @@ def test_group_closure_sampled():
 
 def test_moebius_map_basics():
     m = MoebiusMap(1, 2, 3, 4)
+    assert (type(m.a), m.d) == (int, 4)  # entries stay as given
     assert m.as_rational_function()(F(0)) == F(2, 4)
     inv = m.inverse()
     assert m.compose(inv).is_identity()
@@ -178,12 +189,7 @@ def test_normalize_identity():
 
 
 def _cyclic_group(n=5):
-    f5 = cyclotomic_field(5)
-    maps = []
-    for k in range(n):
-        m = MoebiusMap(EPSILON5 ** k, 0, 0, 1)
-        m.sub5 = (f5.zeta(k), f5.zero(), f5.zero(), f5.one())
-        maps.append(m)
+    maps = [MoebiusMap(F5.zeta(k), 0, 0, 1) for k in range(n)]
     return IcosahedralGroup(maps, (maps[1],))
 
 
@@ -198,12 +204,11 @@ def test_symmetric_function_cyclic_oracle():
 
 def _plain_orbit_product(group, xv):
     """prod_g ((c x+d) T - (a x+b)) at x = xv, one linear factor at a time."""
-    f5 = cyclotomic_field(5)
-    poly = [f5.one()]
+    poly = [F5.one()]
     for g in group.elements:
-        a, b, c, d = g.sub5
+        a, b, c, d = g.a, g.b, g.c, g.d
         alpha, beta = c * xv + d, a * xv + b
-        nxt = [f5.zero() for _ in range(len(poly) + 1)]
+        nxt = [F5.zero() for _ in range(len(poly) + 1)]
         for k, coef in enumerate(poly):
             nxt[k + 1] = nxt[k + 1] + coef * alpha
             nxt[k] = nxt[k] - coef * beta
@@ -230,12 +235,7 @@ def test_symmetric_function_without_diagonal_rotations():
     # x -> x+1 conjugates the rotations to (zeta^k, 1-zeta^k, 0, 1): only the
     # identity is diagonal, so m = 1, and the orbit product is
     # (T-1)^5 - (x-1)^5, whose fifth symmetric function is (x-1)^5 + 1
-    f5 = cyclotomic_field(5)
-    maps = []
-    for k in range(5):
-        m = MoebiusMap(EPSILON5 ** k, 1 - EPSILON5 ** k, 0, 1)
-        m.sub5 = (f5.zeta(k), 1 - f5.zeta(k), f5.zero(), f5.one())
-        maps.append(m)
+    maps = [MoebiusMap(F5.zeta(k), 1 - F5.zeta(k), 0, 1) for k in range(5)]
     grp = IcosahedralGroup(maps, (maps[1],))
     assert _OrbitCosets(grp).m == 1
     k, s = first_nonconstant_symmetric_function(grp)
@@ -270,23 +270,24 @@ def test_symmetric_function_rejects_a_missing_coset_member():
         first_nonconstant_symmetric_function(_without(grp, rotation))
 
 
-def test_orbit_cosets_reject_entries_outside_q_zeta5():
-    with pytest.raises(InconsistentData, match="escape"):
-        _OrbitCosets(IcosahedralGroup([MoebiusMap(I_UNIT, 0, 0, 1)], ()))
+def test_orbit_cosets_of_a_gaussian_cyclic_group():
+    # the entries stay in Q(i): x -> i^k x has the orbit product T^4 - x^4,
+    # whose fourth symmetric function is i^6 x^4 = -x^4
+    i = QuadraticElement(0, 1, -1)
+    maps = [MoebiusMap(i ** k, 0, 0, 1) for k in range(4)]
+    grp = IcosahedralGroup(maps, (maps[1],))
+    assert _OrbitCosets(grp).m == 4
+    assert first_nonconstant_symmetric_function(grp) == (
+        4, RationalFunction(Poly([0, 0, 0, 0, F(-1)])))
 
 
 def test_symmetric_function_rejects_an_irrational_orbit_coefficient():
     # x -> zeta^k (x - zeta) + zeta fixes zeta, not 0: only the identity is
     # diagonal, so m = 1, and the orbit product (T - zeta)^5 - (x - zeta)^5
     # has T^4 coefficient -5 zeta
-    f5 = cyclotomic_field(5)
-    zeta = f5.zeta(1)
-    maps = []
-    for k in range(5):
-        sub = (f5.zeta(k), zeta * (1 - f5.zeta(k)), f5.zero(), f5.one())
-        m = MoebiusMap(*sub)
-        m.sub5 = sub
-        maps.append(m)
+    zeta = F5.zeta(1)
+    maps = [MoebiusMap(F5.zeta(k), zeta * (1 - F5.zeta(k)), 0, 1)
+            for k in range(5)]
     grp = IcosahedralGroup(maps, (maps[1],))
     assert _OrbitCosets(grp).m == 1
     with pytest.raises(InconsistentData, match="not rational"):

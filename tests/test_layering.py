@@ -143,3 +143,25 @@ def test_every_public_method_has_a_caller():
               and reads[fn.name] == _attribute_reads(fn)[fn.name]
               and not re.search(rf"\.{fn.name}\b", bench)]
     assert sorted(unused) == []
+
+
+def _callers(name):
+    """(module, top-level def or class) of each call of name outside
+    exactfield, whether called bare or as an attribute."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "exactfield":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Call) and name in (
+                        getattr(n.func, "id", None),
+                        getattr(n.func, "attr", None)):
+                    found.add((path.stem, getattr(stmt, "name", None)))
+    return found
+
+
+def test_only_the_diagonalisation_lifts_into_the_ambient_field():
+    # each value stays in its own field: the one lift is of gamma's
+    # entries, where normalize_element_to_scaling takes a square root
+    assert _callers("to_ambient") == {("icosa", "normalize_element_to_scaling")}

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from icosacurves.errors import (
     EliminationDegenerate,
+    InconsistentData,
     NotInLocus,
     NotOnLocus,
+    RationalI3,
     SingularPoint,
 )
 from icosacurves.exactfield import QuadraticElement
@@ -130,6 +132,27 @@ def test_field_of_moduli_case1(locus1, fibers1):
                 "infinity_locus": -27468005002203037701}
     for fb in fibers1:
         assert field_of_moduli_at(fb, locus1) == expected[fb.kind]
+
+
+def test_field_of_moduli_exits(locus1, fibers1):
+    fb = fibers1[0]
+    q = fb.q
+    with pytest.raises(ValueError, match="reducible"):
+        field_of_moduli_at(fb._replace(q=Poly([F(-1), 0, F(1)]), D=4,
+                                       d_table=1), locus1)
+    # generators that are rational at the root of q: constants plus
+    # multiples of q
+    lam = Poly([0, F(1)])
+    rational = locus1._replace(
+        I2_of_lambda=q * lam + 2, I4_of_lambda=Poly([F(3)]),
+        I6_of_lambda=q + 5, I6star_of_lambda=q * q + 7)
+    with pytest.raises(RationalI3):
+        field_of_moduli_at(fb, rational)
+    # every denominator vanishes at the root
+    undefined = locus1._replace(I2_of_lambda=q, I4_of_lambda=q * lam,
+                                I6star_of_lambda=q)
+    with pytest.raises(InconsistentData, match="no absolute invariant"):
+        field_of_moduli_at(fb, undefined)
 
 
 def test_solve_lambda_round_trip(locus1):
