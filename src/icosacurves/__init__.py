@@ -55,12 +55,12 @@ from .icosa import (
     vertex_form,
 )
 from .invariants import (
-    BinaryForm,
     DihedralInvariants,
     InvariantSet,
     check_group_relation,
     covariant_vanishing_checks,
     dihedral_invariants,
+    form_coefficients,
     invariant_set,
     transvectant,
 )

@@ -672,23 +672,27 @@ class QuadraticElement(_IntVectorElement):
             raise ValueError("a quadratic and a cyclotomic field do not mix")
         return None
 
+    def _terms(self):
+        """(den, then (sorted classes of the basis term, c) for each nonzero
+        c): one signature for equal values, whatever the field or level."""
+        return (self.den,) + tuple((tuple(sorted(self.field.basis(m))), c)
+                                   for m, c in enumerate(self.ints) if c)
+
     def __eq__(self, other):
-        if isinstance(other, CycloElement) or (
-                isinstance(other, QuadraticElement) and other.D != self.D
-                and len(self.ints) == len(other.ints) == 2):
-            # two square classes, or a square class and a cyclotomic
-            # field, share only the rationals
+        if (isinstance(other, QuadraticElement)
+                and other.field is not self.field):
+            return self._terms() == other._terms()
+        if isinstance(other, CycloElement):
+            # a square class and a cyclotomic field share only the rationals
             return (self.is_rational() and other.is_rational()
                     and self.rational_value() == other.rational_value())
         return super().__eq__(other)
 
     def __hash__(self):
-        # equal values hash alike: a rational as its Fraction, any other by
-        # the classes of its nonzero basis terms, whatever its level
+        # equal values hash alike: a rational as its Fraction, others by terms
         if self.is_rational():
             return hash(self.rational_value())
-        return hash((self.den,) + tuple((self.field.basis(m), c) for m, c
-                                        in enumerate(self.ints) if c))
+        return hash(self._terms())
 
     def conjugate(self):
         """sqrt(D) -> -sqrt(D), which fixes the parts."""

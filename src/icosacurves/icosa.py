@@ -18,7 +18,7 @@ from .errors import (
     ParabolicElement,
 )
 from .exactfield import cyclo_sqrt, cyclotomic_field, to_ambient
-from .invariants import BinaryForm, transvectant
+from .invariants import form_coefficients, transvectant
 from .polyring import Poly, RationalFunction, _inv, nullspace
 
 
@@ -97,9 +97,6 @@ class IcosahedralGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def order_profile(self):
         profile = {}
         for g in self.elements:
@@ -173,22 +170,22 @@ def vertex_form():
 
 
 def _scaled_transvectant(f, h, r):
-    poly = transvectant(f, h, r).to_poly()
+    poly = Poly(transvectant(f, h, r)[::-1])
     return poly * (1 / poly.coeff(0))
 
 
 @functools.cache
 def face_form():
     """The Hessian (V, V)_2 of the vertex form V: the face centers."""
-    v = BinaryForm.from_poly(vertex_form(), 12)
+    v = form_coefficients(vertex_form(), 12)
     return _scaled_transvectant(v, v, 2)
 
 
 @functools.cache
 def edge_form():
     """The Jacobian (V, H)_1 of V and its Hessian: the edge midpoints."""
-    return _scaled_transvectant(BinaryForm.from_poly(vertex_form(), 12),
-                                BinaryForm.from_poly(face_form(), 20), 1)
+    return _scaled_transvectant(form_coefficients(vertex_form(), 12),
+                                form_coefficients(face_form(), 20), 1)
 
 
 @functools.cache

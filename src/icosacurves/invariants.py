@@ -23,75 +23,31 @@ from .errors import (
     OrderTooLarge,
 )
 from .exactfield import QuadraticElement, _IntVectorElement
-from .polyring import Poly, _inv, primitive_part
+from .polyring import _inv, primitive_part
 
 
-class BinaryForm:
-    """Homogeneous form in X, Y; coeffs[i] multiplies X^(n-i) * Y^i."""
+def form_coefficients(poly, degree):
+    """An ascending-coefficient polynomial as a binary form of this degree:
+    entry i multiplies X^(degree-i) Y^i.
 
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != degree + 1:
-            raise ValueError("coefficient count does not match the degree")
-        self.degree = degree
-        self.coeffs = coeffs
-
-    @classmethod
-    def from_poly(cls, poly, degree):
-        """Homogenize an ascending-coefficient polynomial to this degree.
-
-        A polynomial of lower degree picks up roots at infinity: the x^j
-        coefficient lands in the X^j Y^(degree-j) slot.
-        """
-        if poly.degree > degree:
-            raise ValueError("polynomial degree exceeds the form degree")
-        padded = list(poly.coeffs) + [0] * (degree + 1 - len(poly.coeffs))
-        return cls(degree, reversed(padded))
-
-    def to_poly(self):
-        return Poly(tuple(reversed(self.coeffs)))
-
-    def __mul__(self, other):
-        m, n = self.degree, other.degree
-        out = [0] * (m + n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(m + n, out)
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return BinaryForm(self.degree,
-                          (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return (self.degree == other.degree
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
-
-    def __repr__(self):
-        return f"BinaryForm({self.degree}, {self.coeffs!r})"
+    A polynomial of lower degree picks up roots at infinity: the x^j
+    coefficient lands in entry degree - j, after leading zeros.
+    """
+    if poly.degree > degree:
+        raise ValueError("polynomial degree exceeds the form degree")
+    return (0,) * (degree + 1 - len(poly.coeffs)) + poly.coeffs[::-1]
 
 
 def transvectant(f, h, r):
-    """The r-th transvection of two binary forms.
+    """The r-th transvection of two binary forms' coefficient tuples.
 
     Normalization: ((m-r)! (n-r)! / (m! n!)) times the alternating sum of
     mixed r-th partial products, degree m + n - 2r.  The sum runs on the
     coefficients times the gcd-reduced weights t! (m-t)! / g, and the one
     rational scale g_f g_h / (m! n!) multiplies the result last.
     """
-    scale, out = _transvect(f.coeffs, h.coeffs, r)
-    return BinaryForm(len(out) - 1, (c * scale for c in out))
+    scale, out = _transvect(f, h, r)
+    return tuple(c * scale for c in out)
 
 
 def _transvect(fc, hc, r):
@@ -206,7 +162,7 @@ def invariant_set(f, genus):
                              degree=d)
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    F = _primitive(BinaryForm.from_poly(f, d).coeffs)
+    F = _primitive(form_coefficients(f, d))
     I2 = _self_value(F, d)
     J12 = _covariant(F, F, d - 6)
     I4 = _self_value(J12, 12)
@@ -240,7 +196,7 @@ def covariant_vanishing_checks(f, genus):
     d = 2 * genus + 2
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    F = _primitive(BinaryForm.from_poly(f, d).coeffs)
+    F = _primitive(form_coefficients(f, d))
     out = {}
     for s in (4, 8, 16, 28):
         r = d - s // 2

@@ -39,9 +39,9 @@ def _exact_div(a, b):
 
 
 def _inv(x):
-    # 1/x by the coefficient type's own exact division; callers invert a
+    # 1/x exactly, a field element by its own inverse; callers invert a
     # leading coefficient once and multiply by the result
-    return Fraction(1) / x
+    return Fraction(1) / x if isinstance(x, (int, Fraction)) else x.inverse()
 
 
 class Poly:
@@ -556,65 +556,12 @@ class RationalFunction:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         if not other.num:
             raise DivisionByZero("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, k):
-        if k < 0:
-            if not self.num:
-                raise DivisionByZero("inverse of the zero rational function")
-            return RationalFunction(self.den, self.num) ** (-k)
-        # num and den are coprime, so their powers are too
-        return RationalFunction(self.num ** k, self.den ** k, reduce=False)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other, reduce=False)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(Poly([other]), reduce=False)
-        return None
 
     def __call__(self, x):
         dv = self.den(x)
@@ -721,7 +668,7 @@ def moebius_substitute(poly, a, b, c, d, m):
     else:
         cs = _affine(_scaled(cs[::-1], d)[::-1], a, b)
     if all(type(v) is int for v in (a, b, c, d, *poly.coeffs)):
-        cs = [int(v) for v in cs]  # integral, as the Horner steps leave it
+        cs = [int(v) for v in cs]  # int inputs give int coefficients
     return Poly(cs)
 
 

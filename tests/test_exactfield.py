@@ -463,6 +463,26 @@ def test_distinct_square_classes_compare_unequal_but_do_not_mix():
             op(root5, root3)
 
 
+def test_values_of_two_quadratic_fields_compare_by_their_basis_terms():
+    # == agrees with the hash across fields and levels, and never raises
+    root5 = QuadraticElement(0, 1, 5)
+    lifted = QuadraticElement(root5, 0, -1)
+    assert root5 == lifted and lifted == root5
+    assert lifted in {root5} and root5 in {lifted}
+    # the same Gaussian value in the towers over sqrt(2) and sqrt(3)
+    g2 = QuadraticElement(QuadraticElement(1, 0, 2), 3, -1)
+    g3 = QuadraticElement(QuadraticElement(1, 0, 3), 3, -1)
+    assert g2 == g3 and hash(g2) == hash(g3) and len({g2, g3}) == 1
+    r2 = QuadraticElement(QuadraticElement(0, 1, 2), 0, -1)
+    r3 = QuadraticElement(QuadraticElement(0, 1, 3), 0, -1)
+    assert r2 != r3 and not r2 == r3
+    # i sqrt(5) in Q(sqrt(5))(i) and in Q(i)(sqrt(5))
+    assert QuadraticElement(0, root5, -1) == QuadraticElement(
+        0, QuadraticElement(0, 1, -1), 5)
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        g2 + g3
+
+
 def test_a_class_from_squarefree_part_is_not_factored_again(monkeypatch):
     # classes squarefree_part returned: the case-1 collision class and -1
     d, minus_one = squarefree_part(FIBER_D * 49), squarefree_part(-4)

@@ -165,3 +165,17 @@ def test_only_the_diagonalisation_lifts_into_the_ambient_field():
     # each value stays in its own field: the one lift is of gamma's
     # entries, where normalize_element_to_scaling takes a square root
     assert _callers("to_ambient") == {("icosa", "normalize_element_to_scaling")}
+
+
+RING_OPERATORS = {f"__{p}{op}__" for op in ("add", "sub", "mul", "pow")
+                  for p in ("", "r")} | {"__neg__"}
+
+
+def test_only_polynomials_and_field_elements_have_ring_operators():
+    # rational functions are built, evaluated, compared and divided, and a
+    # binary form is a coefficient tuple: neither adds or multiplies
+    owners = {cls.name for path in PACKAGE.glob("*.py")
+              for cls in ast.walk(ast.parse(path.read_text()))
+              if isinstance(cls, ast.ClassDef) for stmt in cls.body
+              if RING_OPERATORS & set(_bound_names(stmt))}
+    assert owners == {"Poly", "_IntVectorElement"}
