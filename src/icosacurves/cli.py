@@ -22,7 +22,7 @@ from .decomp import (
     verify_conjugated_identities,
 )
 from .errors import IcosaError, InconsistentData, UsageError
-from .exactfield import CycloElement, QuadraticElement
+from .exactfield import QuadraticElement
 from .families import (
     classify_genus,
     curve_equation,
@@ -64,8 +64,6 @@ def _enc_value(v):
         if v.b == 0:
             return str(v.a)
         return {"a": str(v.a), "b": str(v.b), "D": v.D}
-    if isinstance(v, CycloElement):
-        return [str(c) for c in v.coeffs]
     if isinstance(v, (int, Fraction)):
         return str(Fraction(v))
     raise TypeError(f"no JSON encoding for {type(v).__name__}")
@@ -135,16 +133,20 @@ def _emit_report(report, fmt):
 # verification checks, each with a stable id
 # ----------------------------------------------------------------------------
 
-def _check_group_structure():
+def _group_summary():
+    """(order, order profile, (the generators' orders and their product's)):
+    what `icosa group` prints and the group.structure check tests."""
     group = build_icosahedral_group()
-    profile = group.order_profile()
     g1, g2 = group.generators
-    if g1.order() != 2:
-        g1, g2 = g2, g1
-    orders = (g1.order(), g2.order(), g1.compose(g2).order())
-    ok = (len(group) == 60 and profile == {1: 1, 2: 15, 3: 20, 5: 24}
+    return (len(group), group.order_profile(),
+            (g1.order(), g2.order(), g1.compose(g2).order()))
+
+
+def _check_group_structure():
+    order, profile, orders = _group_summary()
+    ok = (order == 60 and profile == {1: 1, 2: 15, 3: 20, 5: 24}
           and orders == (2, 5, 3))
-    return ok, (f"classes={len(group)} profile={sorted(profile.items())} "
+    return ok, (f"classes={order} profile={sorted(profile.items())} "
                 f"generator orders {orders}")
 
 
@@ -359,14 +361,11 @@ def _run_verify(suite, fmt):
 
 def _cmd_icosa(args):
     if args.action == "group":
-        group = build_icosahedral_group()
-        profile = group.order_profile()
-        g1, g2 = group.generators
-        doc = {"order": len(group),
+        order, profile, orders = _group_summary()
+        _emit({"order": order,
                "order_profile": {str(k): profile[k] for k in sorted(profile)},
-               "generator_orders": [g1.order(), g2.order()],
-               "generator_product_order": g1.compose(g2).order()}
-        _emit(doc, args.format)
+               "generator_orders": list(orders[:2]),
+               "generator_product_order": orders[2]}, args.format)
         return 0
     if args.action == "phi":
         _emit({"phi": _enc_rational_function(invariant_map())}, args.format)

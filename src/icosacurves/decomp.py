@@ -40,7 +40,7 @@ _GAUSS_I = QuadraticElement(0, 1, -1)
 
 
 @functools.cache
-def _conjugated_form(kind):
+def conjugated_form(kind):
     """An orbit form carried to the even side: the one Gaussian multiple of
     its transport whose leading coefficient is a positive rational and whose
     coefficients are Gaussian integers, their parts of gcd 1."""
@@ -52,18 +52,6 @@ def _conjugated_form(kind):
     return moved * (1 / content)
 
 
-def conjugated_face_form():
-    return _conjugated_form("face")
-
-
-def conjugated_vertex_form():
-    return _conjugated_form("vertex")
-
-
-def conjugated_edge_form():
-    return _conjugated_form("edge")
-
-
 @functools.cache
 def conjugated_fiber_pair():
     """(top, bottom) = (64*face^3, vertex^5) of the conjugated forms.
@@ -71,8 +59,8 @@ def conjugated_fiber_pair():
     The transported invariant map is top/bottom up to one scalar, so the
     even model's fiber over lam is cut out by top - lam*bottom.
     """
-    return (conjugated_face_form() ** 3 * Fraction(64),
-            conjugated_vertex_form() ** 5)
+    return (conjugated_form("face") ** 3 * Fraction(64),
+            conjugated_form("vertex") ** 5)
 
 
 def gaussian_transport(poly, m):
@@ -122,7 +110,7 @@ def conjugated_edge_identity(scalar=None):
     the default scalar is the ratio of the leading coefficients."""
     top, bottom = conjugated_fiber_pair()
     lhs = top - bottom * Fraction(1728)
-    edge_sq = conjugated_edge_form() ** 2
+    edge_sq = conjugated_form("edge") ** 2
     if scalar is None:
         scalar = lhs.leading() / edge_sq.leading()
     return lhs == edge_sq * scalar
@@ -176,9 +164,7 @@ def left_factor(f, m):
     cd = _compress_power(f.den, m)
     if cn is None or cd is None:
         return None
-    # g is reduced: a common root r of its parts would make each m-th root
-    # of r a common root of f's; f's monic denominator keeps g's monic
-    return RationalFunction(cn, cd, reduce=False)
+    return RationalFunction(cn, cd)
 
 
 def inner_cubic_decomposition():
@@ -198,10 +184,8 @@ def inner_cubic_decomposition():
     outer = left_factor(psi, 3)
     if outer is None:
         raise IdentityFailed("conjugated map is not a function of x^3")
-    # outer(x^3) is reduced when outer is: a common root r of its parts
-    # would make r^3 a common root of outer's
     spread = RationalFunction(_expand_power(outer.num, 3),
-                              _expand_power(outer.den, 3), reduce=False)
+                              _expand_power(outer.den, 3))
     if compose_rational(spread, sigma.as_rational_function()) != phi:
         raise IdentityFailed("cubic decomposition failed verification")
     snum, sden = Poly([sigma.b, sigma.a]), Poly([sigma.d, sigma.c])

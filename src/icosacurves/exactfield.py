@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FactoringExhausted
-from .polyring import clear_denominators, solve_linear
+from .polyring import _power, clear_denominators, solve_linear
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -72,21 +72,6 @@ def _cyclotomic_coefficients(n):
     return tuple(poly)
 
 
-def _totient(n):
-    r, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            r *= p - 1
-            m //= p
-            while m % p == 0:
-                r *= p
-                m //= p
-        p += 1
-    if m > 1:
-        r *= m - 1
-    return r
-
-
 class CyclotomicField:
     """The field generated by a primitive n-th root of unity."""
 
@@ -96,7 +81,6 @@ class CyclotomicField:
         self.n = n
         self.modulus = _cyclotomic_coefficients(n)
         self.degree = len(self.modulus) - 1
-        assert self.degree == _totient(n)
         d = self.degree
         # x^k mod modulus for k = d .. 2d-2, as its nonzero (index, value)
         rows = {}
@@ -333,15 +317,7 @@ class _IntVectorElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self._coerce(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, self._coerce(1))
 
     def inverse(self):
         """den * c / N, for c the product of the other Galois conjugates of
@@ -550,6 +526,16 @@ class QuadraticField:
         """The classes whose square roots multiply to basis element m."""
         return tuple(c for bit, c in enumerate(self.classes) if m >> bit & 1)
 
+    def radicand(self, m):
+        """(r, k) with basis element m equal to k*sqrt(r), r squarefree:
+        sqrt(d)*sqrt(D) = g*sqrt(dD/g^2) for g = gcd(d, D), negated when
+        both roots are imaginary, so sqrt(-2)*i = -sqrt(2)."""
+        r, k = 1, 1
+        for c in self.basis(m):
+            g = math.gcd(r, c)
+            r, k = (r // g) * (c // g), -g * k if r < 0 and c < 0 else g * k
+        return r, k
+
     def mul(self, a, b):
         """The product of two integer vectors on the basis: two terms in
         Q(sqrt(D)), the basis-bit loop in a tower."""
@@ -673,10 +659,13 @@ class QuadraticElement(_IntVectorElement):
         return None
 
     def _terms(self):
-        """(den, then (sorted classes of the basis term, c) for each nonzero
-        c): one signature for equal values, whatever the field or level."""
-        return (self.den,) + tuple((tuple(sorted(self.field.basis(m))), c)
-                                   for m, c in enumerate(self.ints) if c)
+        """(den, then (r, c) for each nonzero term c*sqrt(r) by r, r
+        squarefree), in lowest terms: one signature for equal values,
+        whatever the field or level."""
+        terms = sorted((r, c * k) for (r, k), c in zip(
+            map(self.field.radicand, range(len(self.ints))), self.ints) if c)
+        g = math.gcd(self.den, *(c for _, c in terms))
+        return (self.den // g,) + tuple((r, c // g) for r, c in terms)
 
     def __eq__(self, other):
         if (isinstance(other, QuadraticElement)

@@ -13,13 +13,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .decomp import (
-    conjugated_edge_form,
-    conjugated_face_form,
-    conjugated_fiber_pair,
-    conjugated_vertex_form,
-    gaussian_transport,
-)
+from .decomp import conjugated_fiber_pair, conjugated_form, gaussian_transport
 from .errors import (
     DegenerateBranchValue,
     DuplicateBranchValue,
@@ -69,35 +63,28 @@ def smallest_one_dimensional_genus(case_no):
     return _CASES[case_no][0] + 30
 
 
-def multiplier_forms(model):
+def model_forms(model):
+    """(forms, (top, bottom)) of the plain model "x5" or the even model
+    "x2": the orbit forms by name, and the pair whose fiber factors are
+    top - lam*bottom."""
     if model == "x5":
-        return {"face": face_form(), "vertex": vertex_form(),
-                "edge": edge_form()}
+        return ({"face": face_form(), "vertex": vertex_form(),
+                 "edge": edge_form()}, fiber_pair())
     if model == "x2":
-        return {"face": conjugated_face_form(),
-                "vertex": conjugated_vertex_form(),
-                "edge": conjugated_edge_form()}
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _powers(model):
-    """The (top, bottom) pair whose fiber factors are top - lam*bottom."""
-    if model == "x5":
-        return fiber_pair()
-    if model == "x2":
-        return conjugated_fiber_pair()
+        return ({k: conjugated_form(k) for k in ("face", "vertex", "edge")},
+                conjugated_fiber_pair())
     raise ValueError(f"unknown model {model!r}")
 
 
 @functools.cache
 def branch_basis(model, multipliers, delta):
     """(M top^(delta-m) bottom^m for m = 0..delta), M the fixed orbit forms."""
+    forms, (top, bottom) = model_forms(model)
     if delta == 0:
         f = Poly([1])
         for name in sorted(multipliers):
-            f = f * multiplier_forms(model)[name]
+            f = f * forms[name]
         return (f,)
-    top, bottom = _powers(model)
     below = branch_basis(model, multipliers, delta - 1)
     return tuple(p * top for p in below) + (below[-1] * bottom,)
 
@@ -116,7 +103,7 @@ def lambda_factor(lam, model="x5"):
     branch points of the map, where the fiber degenerates.
     """
     _regular(lam)
-    top, bottom = _powers(model)
+    _, (top, bottom) = model_forms(model)
     return top - bottom * lam
 
 
@@ -214,7 +201,7 @@ def symmetric_from_dihedral(u, delta):
     # d - 30*delta is the t-degree of the case's multiplier product: half
     # the x-degree, which is odd (x times even) when the edge form is in it
     offset = d - 30 * delta
-    forms = multiplier_forms("x2")
+    forms, _ = model_forms("x2")
     shapes = [names for _, _, names in _CASES.values()
               if sum(forms[n].degree for n in names) // 2 == offset]
     if not shapes:

@@ -32,30 +32,15 @@ def _first_entry_one(entries):
 
 
 class MoebiusMap:
-    """A fractional-linear map x -> (a*x + b)/(c*x + d), up to scaling,
-    with its entries kept in the field they were given in."""
+    """x -> (a*x + b)/(c*x + d) up to scaling, its entries kept in the
+    field they were given in; _first_entry_one of them keys the map."""
 
-    __slots__ = ("a", "b", "c", "d", "_canon")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
         if not (a * d - b * c):
             raise ValueError("singular matrix does not define a map")
-        self._canon = None
-
-    def canonical_entries(self):
-        """Entries scaled so the first nonzero one is 1."""
-        if self._canon is None:
-            self._canon = _first_entry_one((self.a, self.b, self.c, self.d))
-        return self._canon
-
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusMap):
-            return NotImplemented
-        return self.canonical_entries() == other.canonical_entries()
-
-    def __hash__(self):
-        return hash(self.canonical_entries())
 
     def compose(self, other):
         return MoebiusMap(

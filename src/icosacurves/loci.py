@@ -116,14 +116,15 @@ def build_locus(case_no):
 
 
 def _integer_pair(rf):
-    """Integer numerator and denominator with exactly the ratio of rf.
+    """Integer numerator and denominator with exactly the ratio of rf, and
+    the mapped degree of rf.
 
     One common rescaling keeps num/den equal to the input; scaling the
     two halves separately would silently change the function.
     """
     _, ints = primitive_part(rf.num.coeffs + rf.den.coeffs)
     k = len(rf.num.coeffs)
-    return Poly(ints[:k]), Poly(ints[k:])
+    return Poly(ints[:k]), Poly(ints[k:]), rf.mapped_degree()
 
 
 def _eliminate(i1, i2):
@@ -138,10 +139,8 @@ def _eliminate(i1, i2):
     which is linear in Y, so every Y on that row pays for a Sylvester
     determinant of order 2 deg p_a - 1 only.
     """
-    n1, d1 = _integer_pair(i1)
-    n2, d2 = _integer_pair(i2)
-    m1 = max(n1.degree, d1.degree)
-    m2 = max(n2.degree, d2.degree)
+    n1, d1, m1 = _integer_pair(i1)
+    n2, d2, m2 = _integer_pair(i2)
     # the Sylvester block structure bounds deg_X R by m2 and deg_Y R by m1;
     # grid values where p_a drops degree are skipped
     xs = _sample_values(m2 + 3, Poly([n1.coeff(m1), -d1.coeff(m1)]))
@@ -300,10 +299,8 @@ def singular_fibers(locus):
             raise UnexpectedFactorStructure(
                 "denominator is not a power of the I2 quadratic")
 
-    n1, d1 = _integer_pair(i1)
-    n2, d2 = _integer_pair(i2)
-    m1 = max(n1.degree, d1.degree)
-    m2 = max(n2.degree, d2.degree)
+    n1, d1, m1 = _integer_pair(i1)
+    n2, d2, m2 = _integer_pair(i2)
     bound = (m1 + m2 - 2) * (2 * max(m1, m2) - 1) + 1
     points = []
     # the first kernel drops degree where its leading coefficient,

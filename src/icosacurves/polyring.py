@@ -44,6 +44,19 @@ def _inv(x):
     return Fraction(1) / x if isinstance(x, (int, Fraction)) else x.inverse()
 
 
+def _power(base, k, one):
+    """base^k, k >= 0, by square-and-multiply from one and no square past
+    the last bit: the one power loop of polynomials and field elements."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class Poly:
     """Dense univariate polynomial, ascending coefficients."""
 
@@ -130,15 +143,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, Poly([1]))
 
     def __call__(self, x):
         acc = 0
@@ -153,12 +158,12 @@ class Poly:
             raise ZeroPolynomial("polynomial division by zero")
         rem = list(self.coeffs)
         dn = other.degree
-        lead = other.coeffs[-1]
         if len(rem) <= dn:
             return Poly(), self
+        inv = _inv(other.coeffs[-1])
         q = [0] * (len(rem) - dn)
         for k in range(len(rem) - dn - 1, -1, -1):
-            c = _exact_div(rem[k + dn], lead)
+            c = rem[k + dn] * inv
             q[k] = c
             if c:
                 for j in range(dn + 1):
@@ -501,8 +506,7 @@ def is_squarefree_certified(poly):
     """Exact squarefree test, preferring a one-prime certificate."""
     if not poly or poly.degree == 0:
         return bool(poly)
-    cert = certified_coprime(poly, poly.derivative())
-    if cert is not None and cert:
+    if certified_coprime(poly, poly.derivative()):
         return True
     g = poly.gcd(poly.derivative())
     return g.degree == 0
@@ -517,7 +521,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         if not isinstance(num, Poly):
             num = Poly([num])
         if den is None:
@@ -528,12 +532,11 @@ class RationalFunction:
             raise ZeroPolynomial("rational function with zero denominator")
         if not num:
             den = Poly([1])  # one zero, so == and hash agree
-        elif reduce:
-            if certified_coprime(num, den) is not True:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num // g
-                    den = den // g
+        elif certified_coprime(num, den) is not True:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lc = den.leading()
         if lc != 1:
             inv = _inv(lc)

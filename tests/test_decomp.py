@@ -9,10 +9,8 @@ import pytest
 from icosacurves import decomp
 from icosacurves.decomp import (
     check_inner,
-    conjugated_edge_form,
     conjugated_edge_identity,
-    conjugated_face_form,
-    conjugated_vertex_form,
+    conjugated_form,
     gaussian_transport,
     inner_cubic_decomposition,
     left_factor,
@@ -46,15 +44,14 @@ def horner_compose(outer, inner):
 
 
 def test_conjugated_form_degrees():
-    assert conjugated_face_form().degree == 20
-    assert conjugated_vertex_form().degree == 12
-    assert conjugated_edge_form().degree == 29
+    assert conjugated_form("face").degree == 20
+    assert conjugated_form("vertex").degree == 12
+    assert conjugated_form("edge").degree == 29
 
 
 @pytest.mark.parametrize("kind", ["face", "vertex", "edge"])
 def test_conjugated_forms_equal_the_printed_factor_products(kind):
-    derived = {"face": conjugated_face_form, "vertex": conjugated_vertex_form,
-               "edge": conjugated_edge_form}[kind]()
+    derived = conjugated_form(kind)
     printed = json.loads(resources.files("icosacurves").joinpath(
         "fixtures.json").read_text())["conjugated_factors"][kind]
     product = Poly([1])
@@ -66,9 +63,9 @@ def test_conjugated_forms_equal_the_printed_factor_products(kind):
 
 def test_conjugated_forms_parity():
     # face and vertex forms are even; the edge form is x times an even one
-    for form in (conjugated_face_form(), conjugated_vertex_form()):
+    for form in (conjugated_form("face"), conjugated_form("vertex")):
         assert all(not form.coeff(k) for k in range(1, form.degree + 1, 2))
-    t = conjugated_edge_form()
+    t = conjugated_form("edge")
     assert not t.coeff(0)
     assert all(not t.coeff(k) for k in range(0, t.degree + 1, 2))
 
@@ -104,8 +101,8 @@ def test_conjugated_edge_identity_rejects_conjugate_scalar():
 
 
 def test_leading_coefficient_cancellation():
-    lhs = conjugated_face_form() ** 3 * F(64) \
-        - conjugated_vertex_form() ** 5 * F(1728)
+    lhs = conjugated_form("face") ** 3 * F(64) \
+        - conjugated_form("vertex") ** 5 * F(1728)
     assert lhs.degree == 58
     assert 64 * 9375 ** 3 == 1728 * 125 ** 5
 
@@ -172,3 +169,16 @@ def test_check_inner_reports():
     assert r2["found"] and r2["outer_degree"] == 30
     with pytest.raises(ValueError):
         check_inner("x7")
+
+
+@pytest.mark.parametrize("kind,degree", [("x5", 12), ("x2", 30), ("x3", 20)])
+def test_the_certificate_reduces_every_decomposition_map(kind, degree,
+                                                         monkeypatch):
+    # each rational function of a route, the outer map and the x3 spread
+    # outer(x^3) included, is certified coprime, so no exact gcd runs
+    def refuse(self, other):
+        raise AssertionError("exact gcd on a decomposition route")
+
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    assert check_inner(kind) == {"inner": kind, "found": True,
+                                 "outer_degree": degree}

@@ -90,6 +90,16 @@ def test_cyclotomic_polynomial_matches_oracle(n):
     assert list(cyclotomic_field(n).modulus) == brute_cyclotomic(n)
 
 
+def totient(n):
+    """Oracle: the number of units mod n."""
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_cyclotomic_field_degree_is_the_totient():
+    assert [cyclotomic_field(n).degree for n in range(1, 61)] == [
+        totient(n) for n in range(1, 61)]
+
+
 def test_zeta_order():
     f = cyclotomic_field(60)
     z = f.zeta(1)
@@ -481,6 +491,44 @@ def test_values_of_two_quadratic_fields_compare_by_their_basis_terms():
         0, QuadraticElement(0, 1, -1), 5)
     with pytest.raises(ValueError, match="mixed quadratic fields"):
         g2 + g3
+
+
+@pytest.mark.parametrize("d,D,r,k", [
+    (-2, -1, 2, -1),  # sqrt(-2)*i = -sqrt(2): two imaginary roots
+    (2, -1, -2, 1),   # sqrt(2)*i = sqrt(-2)
+    (5, -1, -5, 1),
+    (2, 6, 3, 2),     # sqrt(2)*sqrt(6) = 2*sqrt(3)
+    (-2, -6, 3, -2),
+    (-3, 6, -2, 3),
+    (5, -5, -1, 5),   # sqrt(5)*sqrt(-5) = 5i
+])
+def test_a_tower_product_term_is_named_by_its_squarefree_radicand(d, D, r,
+                                                                   k):
+    # sqrt(d)*sqrt(D) in the tower Q(sqrt(d))(sqrt(D)) is k*sqrt(r) in the
+    # field of the squarefree r, with the principal roots sqrt(-n) =
+    # i*sqrt(n): == and the hash agree across the two fields
+    term = QuadraticElement(0, QuadraticElement(0, 1, d), D)
+    assert term * term == k * k * r == d * D
+    plain = QuadraticElement(0, k, r)
+    assert term == plain and plain == term and hash(term) == hash(plain)
+    assert len({term, plain}) == 1 and term != -plain
+    # over a denominator, the multiplier k cancels against it
+    over_k = QuadraticElement(0, QuadraticElement(0, Fraction(1, k), d), D)
+    assert over_k == QuadraticElement(0, 1, r)
+    assert hash(over_k) == hash(QuadraticElement(0, 1, r))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        term + plain
+
+
+def test_towers_over_two_imaginary_classes_compare_term_by_term():
+    # 1 + sqrt(-2) + sqrt(-2)*i in Q(sqrt(-2))(i) is 1 + sqrt(-2) - sqrt(2),
+    # which Q(i)(sqrt(-2)) writes as 1 + (1 + i)*sqrt(-2)
+    i = QuadraticElement(0, 1, -1)
+    x = QuadraticElement(QuadraticElement(1, 1, -2),
+                         QuadraticElement(0, 1, -2), -1)
+    y = QuadraticElement(QuadraticElement(1, 0, -1), i + 1, -2)
+    assert x == y and hash(x) == hash(y)
+    assert x != QuadraticElement(QuadraticElement(1, 0, -1), 1 - i, -2)
 
 
 def test_a_class_from_squarefree_part_is_not_factored_again(monkeypatch):

@@ -22,8 +22,8 @@ from icosacurves.families import (
     curve_from_symmetric,
     even_model,
     lambda_factor,
+    model_forms,
     models_equivalent,
-    multiplier_forms,
     smallest_one_dimensional_genus,
     symmetric_from_dihedral,
 )
@@ -100,7 +100,7 @@ def test_lambda_factor_even_leading():
 
 def test_curve_equation_delta_zero_rows():
     m = curve_equation(5, [], "x5")
-    assert m.f == multiplier_forms("x5")["vertex"]
+    assert m.f == model_forms("x5")[0]["vertex"]
     assert m.f == Poly([0, F(-1)] + [0] * 4 + [F(11)] + [0] * 4 + [F(1)])
     m = curve_equation(30, [], "x5")
     assert m.f.degree == 61
@@ -187,7 +187,7 @@ def _product_path(g, lams, model):
     # the reference: the multiplier forms times one lambda_factor per value
     f = Poly([1])
     for name in sorted(classify_genus(g).multipliers):
-        f = f * multiplier_forms(model)[name]
+        f = f * model_forms(model)[0][name]
     for lam in lams:
         f = f * lambda_factor(lam, model)
     return f

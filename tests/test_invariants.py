@@ -13,9 +13,9 @@ from icosacurves.errors import (
 )
 from icosacurves.exactfield import QuadraticElement, cyclotomic_field
 from icosacurves.families import (
-    _powers,
     curve_equation,
     even_model,
+    model_forms,
     symmetric_from_dihedral,
 )
 from icosacurves.fixtures import load_fixtures
@@ -447,7 +447,7 @@ def test_printed_dihedral_invariants_match():
     # deg N <= 58, and N Q - P (b_0 b_30)^29 for a printed P / Q of degree
     # 30 has degree at most 88: equal values at 89 points make it zero
     fx = load_fixtures()
-    top, bottom = _powers("x2")
+    _, (top, bottom) = model_forms("x2")
     for lam in range(89):
         b = [top.coeff(2 * j) - lam * bottom.coeff(2 * j) for j in range(31)]
         u = dihedral_invariants(b)

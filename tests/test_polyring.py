@@ -119,6 +119,24 @@ def test_poly_divmod():
         divmod(p, Poly())
 
 
+def test_division_inverts_the_leading_coefficient_once():
+    # a field element's inverse is a norm computation: one per division,
+    # however many quotient coefficients there are
+    num = Poly([QuadraticElement(k, 7 - k, -1) for k in range(7)])
+    den = Poly([QuadraticElement(1, 2, -1), 3, QuadraticElement(2, -1, -1)])
+    calls = []
+    inverse = QuadraticElement.inverse
+
+    def spy(x):
+        calls.append(x)
+        return inverse(x)
+
+    with mock.patch.object(QuadraticElement, "inverse", spy):
+        q, r = divmod(num, den)
+    assert calls == [QuadraticElement(2, -1, -1)]
+    assert q.degree == 4 and r.degree < 2 and q * den + r == num
+
+
 def test_poly_gcd():
     a = Poly([F(-1), 0, 1]) * Poly([F(3), 1])
     b = Poly([F(1), 1]) * Poly([F(7), 1])
