@@ -415,6 +415,9 @@ def _cmd_invariants(args):
                                               (inv.i1, inv.i2, inv.i3,
                                                inv.i4))}
     if mode in ("dihedral", "all"):
+        # the curve's dihedral invariants, from the even (x2) model
+        if model.model != "x2":
+            model = curve_equation(genus, args.lam or [], "x2")
         u = dihedral_invariants(even_model(model))
         doc["dihedral"] = {"d": u.d,
                            "values": [_enc_value(v) for v in u.values]}

@@ -13,12 +13,7 @@ with the conjugating Moebius map.
 import functools
 from fractions import Fraction
 
-from .errors import (
-    ConstantInner,
-    DegreeMismatch,
-    FactorMismatch,
-    IdentityFailed,
-)
+from .errors import ConstantInner, DegreeMismatch, IdentityFailed
 from .exactfield import QuadraticElement
 from .icosa import (
     build_icosahedral_group,
@@ -56,8 +51,8 @@ def conjugated_form(kind):
 def conjugated_fiber_pair():
     """(top, bottom) = (64*face^3, vertex^5) of the conjugated forms.
 
-    The transported invariant map is top/bottom up to one scalar, so the
-    even model's fiber over lam is cut out by top - lam*bottom.
+    The transported invariant map is top/bottom, so the even model's
+    fiber over lam is cut out by top - lam*bottom.
     """
     return (conjugated_form("face") ** 3 * Fraction(64),
             conjugated_form("vertex") ** 5)
@@ -76,33 +71,20 @@ def gaussian_transport(poly, m):
 
 
 def transported_invariant_map():
-    """The invariant map conjugated to even form, over the Gaussian field.
-
-    Computed directly from the plain map by substituting the inverse of the
-    conjugation and clearing powers of (x + 1); numerator and denominator
-    come out with Gaussian coefficients and joint degree 60.
+    """The invariant map conjugated to even form, over the Gaussian field:
+    the plain map composed with the inverse of the conjugation,
+    x -> (-ix + i)/(x + 1), with Gaussian coefficients and joint degree 60.
     """
-    phi = invariant_map()
-    return RationalFunction(gaussian_transport(phi.num, 60),
-                            gaussian_transport(phi.den, 60))
+    inner = RationalFunction(Poly([_GAUSS_I, -_GAUSS_I]), Poly([1, 1]))
+    return compose_rational(invariant_map(), inner)
 
 
 def transported_matches_factored():
-    """The transported map must equal 64 * face^3 / vertex^5 coefficientwise.
-
-    Both sides are reduced fractions of joint degree 60, so they agree up to
-    one common scalar; a coefficient that breaks proportionality raises
-    FactorMismatch with its index.
-    """
-    t = transported_invariant_map()
-    nf, df = conjugated_fiber_pair()
-    c = t.num.leading() / nf.leading()
-    for name, got, want in (("numerator", t.num, nf), ("denominator", t.den, df)):
-        for k in range(max(got.degree, want.degree) + 1):
-            if got.coeff(k) - want.coeff(k) * c:
-                raise FactorMismatch("transported map misses the factored form",
-                                     part=name, index=k)
-    return True
+    """Whether the transported map equals 64 * face^3 / vertex^5: both
+    sides are reduced with a monic denominator, so == compares them
+    exactly."""
+    return transported_invariant_map() == RationalFunction(
+        *conjugated_fiber_pair())
 
 
 def conjugated_edge_identity(scalar=None):
@@ -118,7 +100,8 @@ def conjugated_edge_identity(scalar=None):
 
 def verify_conjugated_identities():
     """Raise IdentityFailed unless both conjugated-side identities hold."""
-    transported_matches_factored()
+    if not transported_matches_factored():
+        raise IdentityFailed("transported map misses the factored form")
     if not conjugated_edge_identity():
         raise IdentityFailed("edge-square identity fails on the even side")
 

@@ -56,10 +56,6 @@ class ParabolicElement(IcosaError):
     """The map has a single (repeated) fixed point and no scaling form."""
 
 
-class FactorMismatch(IcosaError):
-    """Expanded product disagrees with a stated form; payload holds the index."""
-
-
 class NotInLocus(IcosaError):
     """The genus or invariant data does not belong to any family handled here."""
 

@@ -13,8 +13,9 @@ Every element is an integer vector over one positive denominator, kept in
 lowest terms, and both kinds share one set of operators; only the integer
 product differs by field.  The inverse is den * c / N for c the product of
 the other Galois conjugates of the integer vector and N their norm, a
-rational integer: a cyclotomic field builds c one prime-index step of
-(Z/n)^* at a time, a quadratic field by negating square roots.  A
+rational integer, built by one loop over the prime-index steps of the
+field's Galois group: steps of (Z/n)^* for a cyclotomic field, one step
+per square class, which negates its root, for a quadratic field.  A
 cyclotomic field's product is a convolution and its reduction mod the
 cyclotomic polynomial (reduce), which polyring's packed polynomial product
 shares.  Each field also maps its basis mod a prime (residues), the ring
@@ -131,8 +132,9 @@ class CyclotomicField:
                      for j in range(self.degree))
 
     def galois(self, ints, k):
-        """The image of an integer vector under zeta -> zeta^k, k a unit
-        mod n."""
+        """The image of an integer vector under zeta -> zeta^k: for k a unit
+        mod n an automorphism, for k = n/m the embedding of Q(zeta_m), whose
+        vectors have fewer entries."""
         out = [0] * self.degree
         for c, row in zip(ints, self._galois_rows(k)):
             if c:
@@ -161,22 +163,6 @@ class CyclotomicField:
             steps.append((k, p))
         return tuple(steps)
 
-    def norm_cofactor(self, ints):
-        """(c, N): c the product of the nontrivial Galois conjugates of the
-        integer vector ints and N = ints * c its norm, a rational integer.
-        Step (k, p) of _norm_steps takes b, fixed by H_i, to its relative
-        norm b * t(b) * ... * t^(p-1)(b), fixed by H_(i+1), for t the map
-        zeta -> zeta^k, and multiplies c by the same cofactor."""
-        b, c = ints, None
-        for k, p in self._norm_steps():
-            cof = conj = self.galois(b, k)
-            for _ in range(p - 2):
-                conj = self.galois(conj, k)
-                cof = self.mul(cof, conj)
-            b = self.mul(b, cof)
-            c = cof if c is None else self.mul(c, cof)
-        return c or (1,), b[0]  # no step: the field is Q
-
     # -- element construction -------------------------------------------------
 
     def element(self, coeffs):
@@ -191,10 +177,8 @@ class CyclotomicField:
 
     def from_ints(self, ints, den=1):
         """The element ints / den in lowest terms, from a tuple of degree
-        integers on the power basis and a positive den; an element of the
-        ambient field is an AlgebraicNumber."""
-        ambient = self.n == 60
-        bare = object.__new__(AlgebraicNumber if ambient else CycloElement)
+        integers on the power basis and a positive den."""
+        bare = object.__new__(CycloElement)
         bare.field = self
         return bare._new(ints, den)
 
@@ -243,10 +227,10 @@ class _IntVectorElement:
 
     ints is a tuple of integers and den a positive integer with
     gcd(den, *ints) == 1, so each value has one representation.  Sums
-    combine the integer vectors and products run field.mul, the field's
-    integer product and inverses field.norm_cofactor, the product of the
-    other conjugates and the norm.  A subclass supplies _coerce (the other
-    operand as an element of this field, or None).
+    combine the integer vectors, products run field.mul, the field's
+    integer product, and inverses walk the field's Galois steps
+    (field._norm_steps, field.galois).  A subclass supplies _coerce (the
+    other operand as an element of this field, or None).
     """
 
     __slots__ = ("field", "ints", "den")
@@ -321,16 +305,27 @@ class _IntVectorElement:
 
     def inverse(self):
         """den * c / N, for c the product of the other Galois conjugates of
-        ints and N = ints * c their norm, a rational integer, from
-        field.norm_cofactor (Cohen, A Course in Computational Algebraic
-        Number Theory, 4.3)."""
+        ints and N = ints * c their norm, a rational integer (Cohen, A Course
+        in Computational Algebraic Number Theory, 4.3).  Step (k, p) of
+        field._norm_steps() takes b, fixed by H_i, to its relative norm
+        b * t(b) * ... * t^(p-1)(b), fixed by H_(i+1), for t the automorphism
+        field.galois(., k), and multiplies c by the same cofactor."""
         if not self:
             raise DivisionByZero("inverse of zero")
-        c, norm = self.field.norm_cofactor(self.ints)
+        field, b, c = self.field, self.ints, None
+        for k, p in field._norm_steps():
+            cof = conj = field.galois(b, k)
+            for _ in range(p - 2):
+                conj = field.galois(conj, k)
+                cof = field.mul(cof, conj)
+            b = field.mul(b, cof)
+            c = cof if c is None else field.mul(c, cof)
+        norm = b[0]  # c is None when the field is Q
         if not norm:
             raise DivisionByZero("zero divisor of a quadratic tower")
         sign = -1 if norm < 0 else 1
-        return self._new(tuple(v * self.den * sign for v in c), abs(norm))
+        return self._new(tuple(v * self.den * sign for v in c or (1,)),
+                         abs(norm))
 
     def __bool__(self):
         return any(self.ints)
@@ -377,15 +372,6 @@ class CycloElement(_IntVectorElement):
         return "(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-class AlgebraicNumber(CycloElement):
-    """Element of the ambient degree-16 field (order-60 root of unity)."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs=()):
-        return cyclotomic_field(60).element(coeffs)
-
-
 # ----------------------------------------------------------------------------
 # embeddings between the ambient field and its cyclotomic subfields
 # ----------------------------------------------------------------------------
@@ -403,20 +389,17 @@ def _subfield_basis_images(n):
 
 def to_ambient(x):
     """Embed a rational or an element of a cyclotomic subfield into the
-    ambient field: one integer matrix-vector product over x's denominator.
-    Any other value raises TypeError."""
-    if isinstance(x, AlgebraicNumber):
-        return x
+    ambient field by the power map zeta_n -> zeta_60^(60/n), the ambient
+    field's galois(., 60/n) on x's degree(n) integers.  Any other value
+    raises TypeError."""
+    amb = cyclotomic_field(60)
     if isinstance(x, (int, Fraction)):
-        return AlgebraicNumber([x])
+        return amb.element([x])
     if not isinstance(x, CycloElement):
         raise TypeError(f"no ambient image of a {type(x).__name__}")
-    out = [0] * 16
-    for c, row in zip(x.ints, _subfield_basis_images(x.field.n)):
-        if c:
-            for i, v in enumerate(row):
-                out[i] += c * v
-    return cyclotomic_field(60).from_ints(tuple(out), x.den)
+    if 60 % x.field.n:
+        raise ValueError("not a subfield order")
+    return amb.from_ints(amb.galois(x.ints, 60 // x.field.n), x.den)
 
 
 def to_subfield(x, n):
@@ -473,7 +456,7 @@ def _sqrt_descend(x, level):
     for x' the image of x under the level's automorphism."""
     if not level:
         r = rational_square_root(x.rational_value())
-        return None if r is None else AlgebraicNumber([r])
+        return None if r is None else x.field.element([r])
     k, gen, msq, inv = _tower()[level - 1]
     conj = _galois(x, k)
     a, b = (x + conj) * _HALF, (x - conj) * inv * _HALF
@@ -551,16 +534,16 @@ class QuadraticField:
                         out[j ^ k] += x * y * sq[j & k]
         return tuple(out)
 
-    def norm_cofactor(self, ints):
-        """(c, N): c the product of the other conjugates of the integer
-        vector ints, each negating the square roots of some classes, and
-        N = ints * c its norm, a rational integer."""
-        c = None
-        for s in range(1, len(ints)):  # negate the roots of the bits of s
-            conj = tuple(-v if (m & s).bit_count() & 1 else v
-                         for m, v in enumerate(ints))
-            c = conj if c is None else self.mul(c, conj)
-        return c, self.mul(ints, c)[0]
+    def galois(self, ints, s):
+        """The image of an integer vector under the automorphism that
+        negates the square roots of the classes whose bits are set in s."""
+        return tuple(-v if (m & s).bit_count() & 1 else v
+                     for m, v in enumerate(ints))
+
+    @functools.cache
+    def _norm_steps(self):
+        """One step of index 2 per class, which negates its square root."""
+        return tuple((1 << bit, 2) for bit in range(len(self.classes)))
 
     def from_ints(self, ints, den=1):
         """The element ints / den in lowest terms, from a tuple of integers

@@ -56,13 +56,13 @@ class MoebiusMap:
     def is_identity(self):
         return not self.b and not self.c and self.a == self.d
 
-    def order(self, bound=60):
+    def order(self):
         acc = self
-        for k in range(1, bound + 1):
+        for k in range(1, 61):  # 60, the order of the group, bounds the search
             if acc.is_identity():
                 return k
             acc = acc.compose(self)
-        raise OrderTooLarge("order exceeds search bound", bound=bound)
+        raise OrderTooLarge("order exceeds search bound", bound=60)
 
     def as_rational_function(self):
         return RationalFunction(Poly([self.b, self.a]), Poly([self.d, self.c]))

@@ -332,7 +332,7 @@ def _vector_invariants(b, ref):
     return vals
 
 
-def check_group_relation(u, genus=None):
+def check_group_relation(u):
     """Which full automorphism group the dihedral invariants certify.
 
     Evaluates 2^((d-2)/2) u_1 -/+ u_(d-1)^(d/2) exactly; the minus sign
@@ -340,8 +340,6 @@ def check_group_relation(u, genus=None):
     binary icosahedral double cover.  Anything else is "neither".
     """
     d = u.d
-    if genus is not None and d not in (genus, genus + 1):
-        raise ValueError("reduced degree does not match the genus")
     if d % 2:
         return "neither"
     lead = 2 ** ((d - 2) // 2)

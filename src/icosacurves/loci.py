@@ -98,14 +98,10 @@ def build_locus(case_no):
     for lam in lams:
         cur = curve_equation(g, [Fraction(lam)], "x5")
         samples.append(invariant_set(cur.f, g))
-    I2 = interpolate([(Fraction(l), s.I2) for l, s in zip(lams, samples)],
-                     degree=2)
-    I4 = interpolate([(Fraction(l), s.I4) for l, s in zip(lams, samples)],
-                     degree=4)
-    I6 = interpolate([(Fraction(l), s.I6) for l, s in zip(lams, samples)],
-                     degree=6)
-    I6s = interpolate([(Fraction(l), s.I6star) for l, s in zip(lams, samples)],
-                      degree=6)
+    I2, I4, I6, I6s = (
+        interpolate([(Fraction(l), getattr(s, name))
+                     for l, s in zip(lams, samples)], degree=bound)
+        for name, bound in (("I2", 2), ("I4", 4), ("I6", 6), ("I6star", 6)))
     i1 = RationalFunction(I4, I2 ** 2)
     i2 = RationalFunction(I6, I2 ** 3)
     F = _eliminate(i1, i2)

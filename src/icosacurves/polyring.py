@@ -324,23 +324,20 @@ def integer_primitive(poly):
 # interpolation
 # ----------------------------------------------------------------------------
 
-def interpolate(points, degree=None):
-    """Newton interpolation through exact points.
+def interpolate(points, degree):
+    """Newton interpolation through exact points under a degree bound.
 
-    With a degree bound, fit on the first degree+1 points and verify the rest
-    exactly; disagreement raises InconsistentData.  Repeated abscissae raise
+    Fit on the first degree+1 points and verify the rest exactly;
+    disagreement raises InconsistentData.  Repeated abscissae raise
     DuplicateAbscissa.
     """
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation nodes must be distinct")
-    if degree is None:
-        fit_pts, check_pts = list(points), []
-    else:
-        if len(points) < degree + 1:
-            raise InconsistentData("not enough interpolation nodes",
-                                   needed=degree + 1, got=len(points))
-        fit_pts, check_pts = list(points[: degree + 1]), list(points[degree + 1:])
+    if len(points) < degree + 1:
+        raise InconsistentData("not enough interpolation nodes",
+                               needed=degree + 1, got=len(points))
+    fit_pts, check_pts = list(points[: degree + 1]), list(points[degree + 1:])
     # divided differences
     n = len(fit_pts)
     coef = [p[1] for p in fit_pts]

@@ -147,6 +147,18 @@ def test_dihedral_invariants_output(capsys):
     assert "classical" not in doc
 
 
+@pytest.mark.parametrize("argv", [("--genus", "5"),
+                                  ("--genus", "29", "--lambda", "7")])
+def test_x5_invariants_take_the_dihedral_part_from_the_x2_model(capsys, argv):
+    rc, out, _ = run(capsys, "invariants", *argv, "--model", "x5")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["model"] == "x5" and "classical" in doc
+    rc, out, _ = run(capsys, "invariants", *argv, "--model", "x2",
+                     "--dihedral")
+    assert rc == 0 and doc["dihedral"] == json.loads(out)["dihedral"]
+
+
 def test_fibers_listing_matches_reference(capsys):
     rc, out, err = run(capsys, "locus", "--case", "1", "--emit", "fibers")
     assert rc == 0

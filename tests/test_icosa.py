@@ -90,7 +90,7 @@ def test_moebius_map_basics():
     with pytest.raises(ValueError):
         MoebiusMap(1, 2, 2, 4)
     with pytest.raises(OrderTooLarge):
-        MoebiusMap(1, 1, 0, 1).order(bound=10)
+        MoebiusMap(1, 1, 0, 1).order()
 
 
 def test_orbit_form_degrees_and_values():

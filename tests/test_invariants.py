@@ -425,13 +425,13 @@ def test_dihedral_degenerate_ends():
 def test_group_relation_odd_genus():
     cur = curve_equation(29, [F(7)], "x2")
     u = dihedral_invariants(even_model(cur))
-    assert check_group_relation(u, 29) == "Z2xA5"
+    assert check_group_relation(u) == "Z2xA5"
 
 
 def test_group_relation_even_genus():
     cur = curve_equation(44, [F(5)], "x2")
     u = dihedral_invariants(even_model(cur))
-    assert check_group_relation(u, 44) == "SL2_5"
+    assert check_group_relation(u) == "SL2_5"
 
 
 def test_group_relation_generic_rejects():
@@ -453,7 +453,7 @@ def test_printed_dihedral_invariants_match():
         u = dihedral_invariants(b)
         assert u.u(1) == fx.reference_dihedral_g29["u1"](lam)
         assert u.u(29) == fx.reference_dihedral_g29["u29"](lam)
-        assert check_group_relation(u, 29) == "Z2xA5"
+        assert check_group_relation(u) == "Z2xA5"
 
 
 def test_recover_single_branch_value():

@@ -8,6 +8,7 @@ caller outside the tests.
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
@@ -179,3 +180,30 @@ def test_only_polynomials_and_field_elements_have_ring_operators():
               if isinstance(cls, ast.ClassDef) for stmt in cls.body
               if RING_OPERATORS & set(_bound_names(stmt))}
     assert owners == {"Poly", "_IntVectorElement"}
+
+
+def test_the_benchmark_finds_every_name_it_uses():
+    # benchmark/ imports these names and traces these paths, so deleting
+    # or renaming one breaks the benchmark; the files are only parsed here
+    missing = []
+    for path in BENCHMARK.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("icosacurves")):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{alias.name}"
+                            for alias in node.names
+                            if not hasattr(module, alias.name)]
+    spans = ast.parse((BENCHMARK / "spans.py").read_text())
+    targets = next(ast.literal_eval(stmt.value) for stmt in spans.body
+                   if isinstance(stmt, ast.Assign)
+                   and [getattr(t, "id", None) for t in stmt.targets]
+                   == ["TARGETS"])
+    assert len(targets) > 10
+    for module, attr_path in targets:
+        owner = importlib.import_module(f"icosacurves.{module}")
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr_path}")
+    assert missing == []

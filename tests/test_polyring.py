@@ -306,9 +306,9 @@ def test_interpolate_exact():
     p = Poly([F(1), F(-2), F(0), F(7)])
     pts = [(F(k), p(F(k))) for k in range(-3, 4)]
     assert interpolate(pts, degree=3) == p
-    assert interpolate(pts[:4]) == p
+    assert interpolate(pts[:4], degree=3) == p
     with pytest.raises(DuplicateAbscissa):
-        interpolate([(F(1), F(0)), (F(1), F(1))])
+        interpolate([(F(1), F(0)), (F(1), F(1))], degree=1)
     bad = pts[:4] + [(F(9), p(F(9)) + 1)]
     with pytest.raises(InconsistentData):
         interpolate(bad, degree=3)
