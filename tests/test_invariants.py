@@ -147,25 +147,46 @@ COEFFICIENTS = {
 }
 
 
+# a support stride: entries at one residue class mod 2, 3 or 5; mod 16,
+# past every degree drawn, one nonzero entry; 0 for the zero form
+SPARSE = (2, 3, 5, 16, 0)
+
+
 @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
 @pytest.mark.parametrize("shape", ["self, even r", "self, odd r",
-                                   "two forms"])
+                                   "two forms", "sparse self, even r",
+                                   "sparse self, odd r", "two sparse forms",
+                                   "two forms, one stride",
+                                   "strides 5 and 2"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_transvectant_matches_the_textbook_formula(shape, kind, data):
-    def form(least):
-        n = data.draw(st.integers(least, 8))
+    def form(least, stride=1):
+        n = data.draw(st.integers(least, 8 if stride == 1 else 12))
         cs = st.lists(COEFFICIENTS[kind], min_size=n + 1, max_size=n + 1)
-        return tuple(data.draw(cs))
+        offset = data.draw(st.integers(0, max(min(stride, n + 1) - 1, 0)))
+        return tuple(c if stride and i % stride == offset else c * 0
+                     for i, c in enumerate(data.draw(cs)))
 
-    if shape == "two forms":
-        f, h = form(0), form(0)
-        r = data.draw(st.integers(0, min(len(f), len(h)) - 1))
-    else:
-        f = h = form(1)
-        parity = 0 if shape == "self, even r" else 1
+    def stride():
+        return data.draw(st.sampled_from(SPARSE))
+
+    if "self" in shape:
+        f = h = form(1, stride() if "sparse" in shape else 1)
+        parity = 0 if shape.endswith("even r") else 1
         r = data.draw(st.sampled_from(
             [k for k in range(len(f)) if k % 2 == parity]))
+    else:
+        if shape == "two forms":
+            strides = 1, 1
+        elif shape == "two sparse forms":
+            strides = stride(), stride()
+        elif shape == "two forms, one stride":
+            strides = (data.draw(st.sampled_from(SPARSE[:3])),) * 2
+        else:  # an x^5 model's stride meets an even model's: s = 1
+            strides = data.draw(st.permutations((5, 2)))
+        f, h = form(0, strides[0]), form(0, strides[1])
+        r = data.draw(st.integers(0, min(len(f), len(h)) - 1))
     assert transvectant(f, h, r) == _textbook_transvectant(f, h, r)
 
 

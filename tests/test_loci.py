@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from icosacurves.errors import (
     EliminationDegenerate,
     InconsistentData,
+    NormalizationUndefined,
     NotInLocus,
     NotOnLocus,
     RationalI3,
@@ -173,6 +174,15 @@ def test_solve_lambda_rejects_points_off_the_curve(locus1):
     assert evaluate_plane_model(locus1.F, F(1), F(1)) != 0
     with pytest.raises(NotOnLocus):
         solve_lambda(F(1), F(1), locus1)
+
+
+def test_solve_lambda_rejects_invariants_undefined_by_a_vanishing_i2(locus1):
+    inv = invariant_set(Poly([0] * 12 + [1]), 5)  # x^12: every I vanishes
+    assert inv.i1 is None and inv.i2 is None
+    with pytest.raises(NormalizationUndefined):
+        solve_lambda(inv.i1, inv.i2, locus1)
+    with pytest.raises(NormalizationUndefined):
+        solve_lambda(locus1.i1_of_lambda(F(7)), None, locus1)
 
 
 def test_solve_lambda_flags_singular_points(locus1, fibers1):

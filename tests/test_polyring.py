@@ -145,6 +145,53 @@ def test_poly_gcd():
     assert Poly([F(2)]).gcd(Poly([F(0), 1])) == Poly([F(1)])
 
 
+def _fraction_euclid(a, b):
+    """The monic gcd of two ascending coefficient lists by schoolbook
+    Euclid over Fractions, the definition the integer sequence must meet."""
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    while b:
+        while a and len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            for j, c in enumerate(b):
+                a[shift + j] -= q * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+wide_fraction = st.builds(F, st.integers(-2 ** 240, 2 ** 240),
+                          st.integers(1, 2 ** 220))
+gcd_operand = st.lists(st.one_of(st.integers(-9, 9),
+                                 st.fractions(-6, 6, max_denominator=5),
+                                 wide_fraction), max_size=4).map(Poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(common=gcd_operand, p=gcd_operand, q=gcd_operand)
+@example(common=Poly([F(1, 3), -2]), p=Poly([5, 0, -7]), q=Poly([-4, -1]))
+@example(common=Poly([F(2 ** 211 + 1, 3 ** 140), -1]), p=Poly([1]),
+         q=Poly([0, -1]))
+@example(common=Poly([1, 1]), p=Poly([3]), q=Poly())
+@example(common=Poly([-5]), p=Poly([1, 2, 3]), q=Poly([F(1, 2)]))
+@example(common=Poly(), p=Poly([1]), q=Poly([1]))
+def test_rational_gcd_is_fraction_euclid_on_integers(common, p, q):
+    # a planted common factor, zero and constant operands, negative
+    # leading coefficients and Fractions of more than 200 bits
+    def refuse(*args):
+        raise AssertionError("the rational gcd divided polynomials")
+
+    a, b = common * p, common * q
+    with mock.patch.object(Poly, "__divmod__", refuse):
+        with pytest.raises(AssertionError):
+            Poly([1, 1]) % Poly([2])
+        g = a.gcd(b)
+    assert g.coeffs == tuple(_fraction_euclid(a.coeffs, b.coeffs))
+    assert all(type(c) is F for c in g.coeffs)
+    if a and b:
+        assert g.degree >= common.degree
+
+
 def test_poly_compose_and_derivative():
     p = Poly([F(1), 0, 1])       # 1 + x^2
     assert p.derivative() == Poly([0, F(2)])
