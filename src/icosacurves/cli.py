@@ -52,8 +52,6 @@ from .loci import (
 )
 from .polyring import Poly
 
-FIBER_ROW_ORDER = ("collision", "zero_locus", "infinity_locus")
-
 
 # ----------------------------------------------------------------------------
 # JSON encoders: rationals as "p/q" strings, never floats
@@ -278,21 +276,19 @@ def _check_locus_equation():
 def _table_checks(case_no):
     fx = load_fixtures()
     L = build_locus(case_no)
-    fibers = {fb.kind: fb for fb in singular_fibers(L)}
     out = []
-    for row, kind in enumerate(FIBER_ROW_ORDER, start=1):
-        fb = fibers[kind]
-        key = kind.split("_")[0]    # the table's row name
+    for row, fb in enumerate(singular_fibers(L), start=1):
+        key = fb.kind.split("_")[0]    # the table's row name
         ref_q = fx.singular_quadratics[case_no][key]
         ok_q = [int(c) for c in fb.q.coeffs] == [ref_q.coeff(i)
                                                  for i in range(3)]
         out.append((f"table2.case{case_no}.row{row}", ok_q,
-                    f"{kind} quadratic "
+                    f"{fb.kind} quadratic "
                     + ("matches" if ok_q else "differs")))
         ref_d = fx.moduli_fields[case_no][key]
         ok_d = fb.d_table == ref_d and field_of_moduli_at(fb, L) == ref_d
         out.append((f"table3.case{case_no}.row{row}", ok_d,
-                    f"{kind} field datum d={fb.d_table}"))
+                    f"{fb.kind} field datum d={fb.d_table}"))
     return out
 
 
@@ -464,8 +460,7 @@ def _cmd_model(args):
             raise UsageError("--fiber must be 1 (collision), 2 (zero) or "
                              "3 (infinity)")
         L = build_locus(args.case)
-        fibers = {fb.kind: fb for fb in singular_fibers(L)}
-        fb = fibers[FIBER_ROW_ORDER[fiber_no - 1]]
+        fb = singular_fibers(L)[fiber_no - 1]
         d, model = fiber_model(L, fb)
         _emit({"fiber": fb.kind, "d": d, "model": _enc_curve(model)},
               args.format)

@@ -7,7 +7,8 @@ fields Q(sqrt(D)) and the towers Q(sqrt(d))(sqrt(D)) carry the curve
 models.  The one lift between fields is to_ambient, of a rational or a
 cyclotomic subfield element into the ambient field.  A quadratic value is
 never embedded: against a cyclotomic value, as against another square
-class, arithmetic raises and only equal rationals compare equal.
+class, arithmetic raises and only equal rationals compare equal, and so
+do values of two cyclotomic orders.
 
 Every element is an integer vector over one positive denominator, kept in
 lowest terms, and both kinds share one set of operators; only the integer
@@ -33,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FactoringExhausted
-from .polyring import _power, clear_denominators, solve_linear
+from .polyring import _power, clear_denominators, exact_quotient, nullspace
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -43,40 +44,19 @@ _HALF = Fraction(1, 2)
 # cyclotomic polynomials and fields
 # ----------------------------------------------------------------------------
 
-def _intpoly_div_exact(num, den):
-    """Exact quotient of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dn = len(den) - 1
-    while den[dn] == 0:
-        dn -= 1
-    q = [0] * (len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn]
-        if c % den[dn] != 0:
-            raise ArithmeticError("division not exact")
-        c //= den[dn]
-        q[k] = c
-        if c:
-            for j in range(dn + 1):
-                num[k + j] -= c * den[j]
-    if any(num[: dn]):
-        raise ArithmeticError("division not exact")
-    return q
-
-
 @functools.cache
 def _cyclotomic_coefficients(n):
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _intpoly_div_exact(poly, _cyclotomic_coefficients(d))
+            poly = exact_quotient(poly, _cyclotomic_coefficients(d))
     return tuple(poly)
 
 
 class CyclotomicField:
     """The field generated by a primitive n-th root of unity."""
 
-    __slots__ = ("n", "degree", "modulus", "_rows", "_zeta_powers")
+    __slots__ = ("n", "degree", "modulus", "_rows")
 
     def __init__(self, n):
         self.n = n
@@ -98,7 +78,6 @@ class CyclotomicField:
             rows[k] = tuple(cur)
         self._rows = {k: tuple((j, c) for j, c in enumerate(row) if c)
                       for k, row in rows.items()}
-        self._zeta_powers = None
 
     def mul(self, a, b):
         """The product of two integer vectors on the power basis: the one
@@ -190,13 +169,15 @@ class CyclotomicField:
 
     def zeta(self, power=1):
         """zeta_n raised to the given power, reduced to the power basis."""
-        if self._zeta_powers is None:
-            z = self.element([0, 1])
-            powers = [self.one()]
-            for _ in range(self.n - 1):
-                powers.append(powers[-1] * z)
-            self._zeta_powers = powers
-        return self._zeta_powers[power % self.n]
+        return self._power_table()[power % self.n]
+
+    @functools.cache
+    def _power_table(self):
+        z = self.element([0, 1])
+        powers = [self.one()]
+        for _ in range(self.n - 1):
+            powers.append(powers[-1] * z)
+        return tuple(powers)
 
     @functools.cache
     def residues(self, prime):
@@ -230,7 +211,8 @@ class _IntVectorElement:
     combine the integer vectors, products run field.mul, the field's
     integer product, and inverses walk the field's Galois steps
     (field._norm_steps, field.galois).  A subclass supplies _coerce (the
-    other operand as an element of this field, or None).
+    other operand as an element of this field, or None), which raises
+    ValueError for a value of a field that does not mix with this one.
     """
 
     __slots__ = ("field", "ints", "den")
@@ -331,7 +313,12 @@ class _IntVectorElement:
         return any(self.ints)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ValueError:
+            # two fields that do not mix share only the rationals
+            return (self.is_rational() and other.is_rational()
+                    and self.rational_value() == other.rational_value())
         return NotImplemented if o is None else (
             self.ints == o.ints and self.den == o.den)
 
@@ -376,17 +363,6 @@ class CycloElement(_IntVectorElement):
 # embeddings between the ambient field and its cyclotomic subfields
 # ----------------------------------------------------------------------------
 
-@functools.cache
-def _subfield_basis_images(n):
-    """Integer vectors of the images of the power basis of the order-n field
-    inside the ambient one."""
-    if 60 % n != 0:
-        raise ValueError("not a subfield order")
-    zeta = cyclotomic_field(60).zeta
-    return tuple(zeta(60 // n * j).ints
-                 for j in range(cyclotomic_field(n).degree))
-
-
 def to_ambient(x):
     """Embed a rational or an element of a cyclotomic subfield into the
     ambient field by the power map zeta_n -> zeta_60^(60/n), the ambient
@@ -403,11 +379,15 @@ def to_ambient(x):
 
 
 def to_subfield(x, n):
-    """Project an ambient element into the order-n subfield, or None."""
-    # sum_j c_j * image_j == x: 16 equations in one unknown per image
-    cols = _subfield_basis_images(n)
-    sol = solve_linear(list(zip(*cols)), x.coeffs)
-    return None if sol is None else cyclotomic_field(n).element(sol)
+    """Project an ambient element into the order-n subfield, or None: x is
+    sum_j c_j zeta_n^j when (c, 1) spans the nullspace of the columns
+    to_ambient(zeta_n^j) and -x, 16 equations in degree(n) + 1 unknowns."""
+    field = cyclotomic_field(n)
+    cols = [to_ambient(field.element([0] * j + [1])).coeffs
+            for j in range(field.degree)]
+    cols.append((-x).coeffs)
+    basis = nullspace(list(zip(*cols)), len(cols))
+    return field.element(basis[0][:-1]) if basis else None
 
 
 # ----------------------------------------------------------------------------
@@ -654,10 +634,6 @@ class QuadraticElement(_IntVectorElement):
         if (isinstance(other, QuadraticElement)
                 and other.field is not self.field):
             return self._terms() == other._terms()
-        if isinstance(other, CycloElement):
-            # a square class and a cyclotomic field share only the rationals
-            return (self.is_rational() and other.is_rational()
-                    and self.rational_value() == other.rational_value())
         return super().__eq__(other)
 
     def __hash__(self):
@@ -841,15 +817,19 @@ class _Squarefree(int):
     __slots__ = ()
 
 
+# the one effort bound of squarefree_part: the largest elliptic-curve B1
+_MAX_B1 = 50_000
+
+
 @functools.cache
-def squarefree_part(n, max_b1=50_000):
+def squarefree_part(n):
     """The squarefree integer d with n = d * (square); sign preserved.
 
     |n| is factored by trial division and elliptic-curve stage 1 with B1 up
-    to max_b1, the one effort bound, and every prime factor is proven."""
+    to _MAX_B1, and every prime factor is proven."""
     n = int(n)
     if n == 0:
         raise ValueError("squarefree part of zero")
-    factors = _factor_bounded(abs(n), max_b1)
+    factors = _factor_bounded(abs(n), _MAX_B1)
     d = math.prod(p for p, e in factors.items() if e % 2)
     return _Squarefree(-d if n < 0 else d)

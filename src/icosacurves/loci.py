@@ -42,6 +42,7 @@ from .polyring import (
     Poly,
     RationalFunction,
     _bareiss_det,
+    exact_quotient,
     integer_primitive,
     interpolate,
     is_squarefree_certified,
@@ -237,14 +238,7 @@ def _divided_kernel(num, den, lam0):
     a = num(lam0)
     b = den(lam0)
     top = [a * den.coeff(j) - num.coeff(j) * b for j in range(m + 1)]
-    quot = [0] * m
-    carry = top[m]
-    for j in range(m - 1, -1, -1):
-        quot[j] = carry
-        carry = top[j] + lam0 * carry
-    if carry != 0:
-        raise InconsistentData("kernel division left a remainder")
-    return quot
+    return exact_quotient(top, (-lam0, 1))
 
 
 def _strip_factor(poly, factor):
@@ -269,7 +263,8 @@ def _quadratic_root(q, d):
 
 
 def singular_fibers(locus):
-    """The three parameter quadratics where the locus map degenerates.
+    """The three parameter quadratics where the locus map degenerates, in
+    the row order of Tables 2 and 3: collision, zero_locus, infinity_locus.
 
     zero_locus: shared quadratic of the two numerators (the point (0,0)).
     infinity_locus: the quadratic I2, killing every denominator.
@@ -417,14 +412,13 @@ def rational_model(u, group=None):
     desc = classify_genus(g)
     if desc.group != group:
         raise NotInLocus("group does not match the genus", genus=g)
-    # 2, u_(d-1), ..., u_1, u_1 at x^0, x^2, ..., x^(2d); a vanishing u_i
-    # is stored as the int 0 of the odd slots
-    coeffs = [0] * (2 * d + 1)
-    coeffs[::2] = [c or 0 for c in (2, *reversed(u.values), u.u(1))]
-    f = Poly(coeffs)
-    if group == "SL2_5":
-        f = f.shifted(1)
-    return CurveModel(f=f, genus=g, model="x2", case=desc, params=[])
+    # 2, u_(d-1), ..., u_1, u_1 at x^0, x^2, ..., x^(2d), times x for
+    # SL2_5; a vanishing u_i is stored as the int 0 of the empty slots
+    shift = int(group == "SL2_5")
+    coeffs = [0] * (2 * d + 1 + shift)
+    coeffs[shift::2] = [c or 0 for c in (2, *reversed(u.values), u.u(1))]
+    return CurveModel(f=Poly(coeffs), genus=g, model="x2", case=desc,
+                      params=[])
 
 
 def fiber_model(locus, fiber):

@@ -187,12 +187,6 @@ class Poly:
     def derivative(self):
         return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
 
-    def shifted(self, k):
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def gcd(self, other):
         """Monic gcd: by the primitive remainder sequence on integers when
         every coefficient is rational, else by the Euclidean algorithm."""
@@ -420,6 +414,28 @@ def pseudo_remainder(qc, pc):
     return r
 
 
+def exact_quotient(num, den):
+    """num / den for ascending integer coefficient lists when den divides
+    num over the integers, as a list of length len(num) - deg den; a
+    remainder raises InconsistentData."""
+    num = list(num)
+    dn = len(den) - 1
+    while den[dn] == 0:
+        dn -= 1
+    q = [0] * (len(num) - dn)
+    for k in range(len(num) - dn - 1, -1, -1):
+        c, rem = divmod(num[k + dn], den[dn])
+        if rem:
+            raise InconsistentData("integer division left a remainder")
+        q[k] = c
+        if c:
+            for j in range(dn + 1):
+                num[k + j] -= c * den[j]
+    if any(num[:dn]):
+        raise InconsistentData("integer division left a remainder")
+    return q
+
+
 def _rational_gcd(a, b):
     """The monic gcd of two ascending lists of ints and Fractions without
     trailing zeros, by the primitive pseudo-remainder sequence (Collins
@@ -491,7 +507,7 @@ _CERT_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
                 1000381, 1000621)
 
 
-def certified_coprime(p, q, primes=_CERT_PRIMES):
+def certified_coprime(p, q):
     """True when a single good prime certifies gcd(p, q) constant.
 
     A constant gcd mod a prime that preserves both leading coefficients is a
@@ -509,7 +525,7 @@ def certified_coprime(p, q, primes=_CERT_PRIMES):
               if not isinstance(c, (int, Fraction))}
     if len(fields) > 1 or None in fields:
         return None
-    for prime in primes:
+    for prime in _CERT_PRIMES:
         a = poly_mod_p(p, prime)
         b = poly_mod_p(q, prime)
         if a is None or b is None:
@@ -723,16 +739,15 @@ def compose_rational(outer, inner):
 # exact linear algebra over any of the coefficient fields
 # ----------------------------------------------------------------------------
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+def nullspace(rows, ncols):
+    """Basis of the right nullspace of the given coefficient rows, by one
+    Gauss-Jordan pass: per free column f, 1 at f, 0 at the other free
+    columns and minus column f of the reduced rows at the pivots."""
     m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
     piv_cols = []
-    r = 0
     for c in range(ncols):
-        if r >= len(m):
+        r = len(piv_cols)
+        if r == len(m):
             break
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
@@ -745,37 +760,12 @@ def rref(rows):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         piv_cols.append(c)
-        r += 1
-    return m, piv_cols
-
-
-def nullspace(rows, ncols):
-    """Basis of the right nullspace of the given coefficient rows."""
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)]
-                for j in range(ncols)]
-    red, piv_cols = rref(rows)
-    free = [c for c in range(ncols) if c not in piv_cols]
     basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -red[i][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in piv_cols:
+            v = [0] * ncols
+            v[f] = 1
+            for i, pc in enumerate(piv_cols):
+                v[pc] = -m[i][f]
+            basis.append(v)
     return basis
-
-
-def solve_linear(rows, rhs):
-    """Unique solution of rows * x == rhs, or None when absent or non-unique."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    red, piv_cols = rref(aug)
-    if ncols in piv_cols:
-        return None  # inconsistent
-    if len(piv_cols) != ncols:
-        return None  # underdetermined
-    sol = [0] * ncols
-    for i, pc in enumerate(piv_cols):
-        sol[pc] = red[i][ncols]
-    return sol

@@ -337,6 +337,30 @@ def test_subfield_round_trip():
     assert to_subfield(ZETA, 5) is None
     assert to_subfield(ZETA, 4) is None
     assert to_subfield(to_ambient(f5.zeta(1)), 5) == f5.zeta(1)
+    for n in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60):
+        f = cyclotomic_field(n)
+        for y in (f.zero(), f.element([Fraction(k + 1, 7) - k
+                                       for k in range(f.degree)])):
+            assert to_subfield(to_ambient(y), n) == y
+        # zeta60 generates the ambient field; zeta60^(60/n) lies in Q(zeta_n)
+        if n < 60:
+            assert to_subfield(ZETA, n) is None
+            assert to_subfield(ZETA + _zeta60(60 // n), n) is None
+    with pytest.raises(ValueError):
+        to_subfield(ZETA, 7)
+
+
+def test_two_cyclotomic_orders_meet_only_on_equal_rationals():
+    three60, three5 = (cyclotomic_field(n).element([3]) for n in (60, 5))
+    assert three60 in {three5} and three5 in {three60}
+    assert three60 == three5 and hash(three60) == hash(three5)
+    assert three60 != cyclotomic_field(5).element([4])
+    # zeta5 and zeta60^12 are values of two fields; to_ambient lifts one
+    zeta5 = cyclotomic_field(5).zeta()
+    assert zeta5 != _zeta60(12) and (_zeta60(12) == zeta5) is False
+    assert to_ambient(zeta5) == _zeta60(12)
+    with pytest.raises(ValueError, match="mixed cyclotomic fields"):
+        three60 + three5
 
 
 def test_cyclo_sqrt_known_values():
@@ -610,12 +634,13 @@ def test_squarefree_part():
         squarefree_part(0)
 
 
-def test_squarefree_part_effort_cap():
+def test_squarefree_part_effort_cap(monkeypatch):
     # two large primes; one round of curves at the smallest bound must give up
     p = 2 ** 127 - 1
     q = 2 ** 89 - 1
+    monkeypatch.setattr(exactfield, "_MAX_B1", 1000)
     with pytest.raises(FactoringExhausted):
-        squarefree_part(p * q, max_b1=1000)
+        squarefree_part(p * q)
 
 
 def test_squarefree_part_sees_through_a_strong_pseudoprime():

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from icosacurves.errors import (
     DegenerateLeadingOrTrailing,
@@ -158,7 +158,10 @@ SPARSE = (2, 3, 5, 16, 0)
                                    "sparse self, odd r", "two sparse forms",
                                    "two forms, one stride",
                                    "strides 5 and 2"])
-@settings(max_examples=25, deadline=None)
+# no shrink or explain phase: shrinking the data draws of a failing case
+# takes minutes, and the unshrunk case already shows the fault
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(data=st.data())
 def test_transvectant_matches_the_textbook_formula(shape, kind, data):
     def form(least, stride=1):

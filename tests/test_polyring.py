@@ -32,6 +32,7 @@ from icosacurves.polyring import (
     certified_coprime,
     clear_denominators,
     compose_rational,
+    exact_quotient,
     integer_primitive,
     interpolate,
     is_squarefree_certified,
@@ -39,8 +40,6 @@ from icosacurves.polyring import (
     nullspace,
     poly_mod_p,
     primitive_part,
-    rref,
-    solve_linear,
     sylvester_matrix,
 )
 
@@ -698,7 +697,7 @@ def test_certified_coprime_cyclotomic(p, h, r, c):
     assert certified_coprime(p * r, p * h) is None
 
 
-def test_certified_coprime_cyclotomic_falls_through():
+def test_certified_coprime_cyclotomic_falls_through(monkeypatch):
     zeta = Z60.zeta()
     prime = 1000081
     w = Z60.residues(prime)[1]
@@ -710,10 +709,13 @@ def test_certified_coprime_cyclotomic_falls_through():
     # a coefficient whose denominator vanishes mod prime
     bad_denominator = Poly([zeta * F(1, prime), 1])
     for p in (vanishing_lead, bad_denominator):
-        assert certified_coprime(p, q, primes=(prime,)) is None
         assert certified_coprime(p, q) is True
+        with monkeypatch.context() as m:
+            m.setattr(polyring, "_CERT_PRIMES", (prime,))
+            assert certified_coprime(p, q) is None
     # no prime below 1000081 is 1 mod 60, so none gives zeta an image
-    assert certified_coprime(q, Poly([1, zeta]), primes=(1000003,)) is None
+    monkeypatch.setattr(polyring, "_CERT_PRIMES", (1000003,))
+    assert certified_coprime(q, Poly([1, zeta])) is None
 
 
 def test_certified_coprime_refuses_mixed_fields():
@@ -798,6 +800,34 @@ def test_residues_are_a_ring_map(name, data):
         assert powers.index(1) == order - 1
 
 
+def rref(rows):
+    """Test oracle: reduced row echelon form by Gauss-Jordan elimination,
+    as (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    piv_cols = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(piv_cols)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        piv_cols.append(c)
+    return m, piv_cols
+
+
+def solve_linear(rows, rhs):
+    """The unique solution of rows * x == rhs, or None: the nullspace
+    vector (x, 1) of the columns of rows and -rhs, when it is the only
+    one."""
+    n = len(rows[0])
+    basis = nullspace([list(r) + [-b] for r, b in zip(rows, rhs)], n + 1)
+    return basis[0][:n] if len(basis) == 1 and basis[0][n] == 1 else None
+
+
 def test_rref_and_nullspace():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
     red, piv = rref(rows)
@@ -866,6 +896,66 @@ def test_clear_denominators_is_minimal(values):
     assert [F(c) for c in ints] == [v * den for v in values]
     # the smallest positive multiplier is the lcm of the denominators
     assert den == math.lcm(*(F(v).denominator for v in values))
+
+
+NULLSPACE_ENTRIES = {
+    "fraction": st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    "gaussian": st.builds(lambda a, b: QuadraticElement(a, b, -1),
+                          st.integers(-3, 3), st.integers(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NULLSPACE_ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nullspace_is_the_kernel_on_its_free_columns(kind, data):
+    entry = NULLSPACE_ENTRIES[kind]
+    ncols = data.draw(st.integers(1, 5))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, max_size=4))
+    # planted dependencies: combinations of the rows, and a column that
+    # is a combination of two others
+    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):
+        coefs = data.draw(st.lists(entry, min_size=len(rows),
+                                   max_size=len(rows)))
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    [sum((c * r[j] for c, r in zip(coefs, rows)), F(0))
+                     for j in range(ncols)])
+    if ncols >= 3 and data.draw(st.booleans()):
+        i, j, k = data.draw(st.permutations(range(ncols)))[:3]
+        a, b = data.draw(entry), data.draw(entry)
+        for r in rows:
+            r[k] = a * r[i] + b * r[j]
+    basis = nullspace(rows, ncols)
+    _, piv = rref(rows)
+    free = [c for c in range(ncols) if c not in piv]
+    assert len(basis) == ncols - len(piv) == len(free)
+    for v, f in zip(basis, free):
+        assert all(sum((a * x for a, x in zip(r, v)), F(0)) == 0
+                   for r in rows)
+        assert [v[c] for c in free] == [int(c == f) for c in free]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=5)
+       .filter(lambda b: b[-1] and b not in ([1], [-1])))
+def test_exact_quotient_undoes_a_product(a, b):
+    ab = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+          for k in range(len(a) + len(b) - 1)]
+    assert exact_quotient(ab, b) == a
+    # one more than a multiple of b, a non-unit, is not a multiple of it
+    ab[0] += 1
+    with pytest.raises(InconsistentData):
+        exact_quotient(ab, b)
+
+
+def test_exact_quotient_divides_over_the_integers():
+    # (x + 1)(x + 2) / (2x + 2) is (x + 2)/2, not an integer polynomial
+    with pytest.raises(InconsistentData):
+        exact_quotient([2, 3, 1], [2, 2])
+    # a zero leading entry of the divisor is skipped
+    assert exact_quotient([2, 3, 1], [1, 1, 0]) == [2, 1]
 
 
 def test_nullspace_over_quadratic_field():
