@@ -231,23 +231,26 @@ def _check_covariant_vanishing():
     return True, "orders 4,8,16,28 vanish at three samples, not after a bump"
 
 
+def _curve_dihedral(genus, lams):
+    """The dihedral invariants of the genus-g family curve with the given
+    branch values, from its even (x2) model."""
+    return dihedral_invariants(even_model(curve_equation(genus, lams, "x2")))
+
+
 def _check_printed_dihedral():
     ref = load_fixtures().reference_dihedral_g29
     for lam in (Fraction(7), Fraction(-2), Fraction(22, 7)):
-        u = dihedral_invariants(even_model(curve_equation(29, [lam], "x2")))
+        u = _curve_dihedral(29, [lam])
         if u.u(1) != ref["u1"](lam) or u.u(29) != ref["u29"](lam):
             return False, f"mismatch at lam={lam}"
-        if 2 ** 14 * u.u(1) - u.u(29) ** 15 != 0:
+        if check_group_relation(u) != "Z2xA5":
             return False, f"odd-genus relation fails at lam={lam}"
     return True, "u1, u29 match the printed forms at three samples"
 
 
 def _check_group_relations():
-    u_odd = dihedral_invariants(
-        even_model(curve_equation(29, [Fraction(9)], "x2")))
-    u_even = dihedral_invariants(
-        even_model(curve_equation(44, [Fraction(5)], "x2")))
-    got = (check_group_relation(u_odd), check_group_relation(u_even))
+    got = (check_group_relation(_curve_dihedral(29, [Fraction(9)])),
+           check_group_relation(_curve_dihedral(44, [Fraction(5)])))
     return got == ("Z2xA5", "SL2_5"), f"genus 29 -> {got[0]}, genus 44 -> {got[1]}"
 
 
@@ -294,7 +297,7 @@ def _table_checks(case_no):
 
 def _check_model_round_trip():
     lam = Fraction(7)
-    u = dihedral_invariants(even_model(curve_equation(29, [lam], "x2")))
+    u = _curve_dihedral(29, [lam])
     m = rational_model(u)
     u2 = dihedral_invariants(even_model(m))
     ok = u2.values == u.values
@@ -401,20 +404,14 @@ def _cmd_invariants(args):
     doc = {"genus": genus, "model": model.model,
            "lambda": [str(Fraction(v)) for v in (args.lam or [])]}
     if mode in ("absolute", "all"):
-        inv = invariant_set(model.f, genus)
-        doc["classical"] = {"I2": _enc_value(inv.I2), "I4": _enc_value(inv.I4),
-                            "I6": _enc_value(inv.I6),
-                            "I6star": None if inv.I6star is None
-                            else _enc_value(inv.I6star)}
-        doc["absolute"] = {name: None if v is None else _enc_value(v)
-                           for name, v in zip(("i1", "i2", "i3", "i4"),
-                                              (inv.i1, inv.i2, inv.i3,
-                                               inv.i4))}
+        inv = invariant_set(model.f, genus)._asdict()
+        for block, names in (("classical", ("I2", "I4", "I6", "I6star")),
+                             ("absolute", ("i1", "i2", "i3", "i4"))):
+            doc[block] = {k: None if inv[k] is None else _enc_value(inv[k])
+                          for k in names}
     if mode in ("dihedral", "all"):
-        # the curve's dihedral invariants, from the even (x2) model
-        if model.model != "x2":
-            model = curve_equation(genus, args.lam or [], "x2")
-        u = dihedral_invariants(even_model(model))
+        u = (dihedral_invariants(even_model(model)) if model.model == "x2"
+             else _curve_dihedral(genus, args.lam or []))
         doc["dihedral"] = {"d": u.d,
                            "values": [_enc_value(v) for v in u.values]}
     _emit(doc, args.format)
@@ -465,12 +462,9 @@ def _cmd_model(args):
         _emit({"fiber": fb.kind, "d": d, "model": _enc_curve(model)},
               args.format)
         return 0
-    genus = _require(args.genus, "--genus")
-    lams = args.lam or []
-    curve = curve_equation(genus, lams, "x2")
-    u = dihedral_invariants(even_model(curve))
-    model = rational_model(u)
-    _emit({"group": check_group_relation(u), "model": _enc_curve(model)},
+    u = _curve_dihedral(_require(args.genus, "--genus"), args.lam or [])
+    group = check_group_relation(u)
+    _emit({"group": group, "model": _enc_curve(rational_model(u, group))},
           args.format)
     return 0
 
@@ -540,6 +534,10 @@ def _build_parser():
         p.add_argument("--threads", type=int, default=threads,
                        help="accepted for interface stability; execution is "
                             "sequential either way")
+    # the family member's flags, shared by curve, invariants and model
+    member = _Parser(add_help=False)
+    member.add_argument("--genus", type=int)
+    member.add_argument("--lambda", dest="lam", type=_fraction_list)
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("icosa", parents=[shared])
@@ -549,14 +547,10 @@ def _build_parser():
     p.add_argument("action", choices=("phi1", "check"))
     p.add_argument("--inner", choices=("x5", "x2", "x3"))
 
-    p = sub.add_parser("curve", parents=[shared])
-    p.add_argument("--genus", type=int)
-    p.add_argument("--lambda", dest="lam", type=_fraction_list)
+    p = sub.add_parser("curve", parents=[shared, member])
     p.add_argument("--model", choices=("x5", "x2"))
 
-    p = sub.add_parser("invariants", parents=[shared])
-    p.add_argument("--genus", type=int)
-    p.add_argument("--lambda", dest="lam", type=_fraction_list)
+    p = sub.add_parser("invariants", parents=[shared, member])
     p.add_argument("--model", choices=("x5", "x2"))
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--absolute", dest="mode", action="store_const",
@@ -569,9 +563,7 @@ def _build_parser():
     p.add_argument("--case", type=int, choices=range(1, 9))
     p.add_argument("--emit", choices=("F", "fibers", "moduli"), default="F")
 
-    p = sub.add_parser("model", parents=[shared])
-    p.add_argument("--genus", type=int)
-    p.add_argument("--lambda", dest="lam", type=_fraction_list)
+    p = sub.add_parser("model", parents=[shared, member])
     p.add_argument("--case", type=int, choices=range(1, 9))
     p.add_argument("--fiber", type=int)
 

@@ -34,7 +34,13 @@ import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FactoringExhausted
-from .polyring import _power, clear_denominators, exact_quotient, nullspace
+from .polyring import (
+    _power,
+    clear_denominators,
+    exact_quotient,
+    nullspace,
+    pseudo_remainder,
+)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -62,22 +68,10 @@ class CyclotomicField:
         self.n = n
         self.modulus = _cyclotomic_coefficients(n)
         self.degree = len(self.modulus) - 1
-        d = self.degree
         # x^k mod modulus for k = d .. 2d-2, as its nonzero (index, value)
-        rows = {}
-        cur = [-c for c in self.modulus[:d]]
-        rows[d] = tuple(cur)
-        for k in range(d + 1, 2 * d - 1):
-            nxt = [0] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                base = rows[d]
-                for j in range(d):
-                    nxt[j] += top * base[j]
-            cur = nxt
-            rows[k] = tuple(cur)
-        self._rows = {k: tuple((j, c) for j, c in enumerate(row) if c)
-                      for k, row in rows.items()}
+        self._rows = {k: tuple((j, c) for j, c in enumerate(
+            pseudo_remainder([0] * k + [1], self.modulus)) if c)
+            for k in range(self.degree, 2 * self.degree - 1)}
 
     def mul(self, a, b):
         """The product of two integer vectors on the power basis: the one
@@ -173,7 +167,8 @@ class CyclotomicField:
 
     @functools.cache
     def _power_table(self):
-        z = self.element([0, 1])
+        # zeta is x on the power basis, or the root -Phi_n(0) of a linear Phi_n
+        z = self.element([0, 1] if self.degree > 1 else [-self.modulus[0]])
         powers = [self.one()]
         for _ in range(self.n - 1):
             powers.append(powers[-1] * z)
@@ -212,7 +207,8 @@ class _IntVectorElement:
     integer product, and inverses walk the field's Galois steps
     (field._norm_steps, field.galois).  A subclass supplies _coerce (the
     other operand as an element of this field, or None), which raises
-    ValueError for a value of a field that does not mix with this one.
+    ValueError for a value of a field that does not mix with this one,
+    and _signature, the key by which a value that is not rational hashes.
     """
 
     __slots__ = ("field", "ints", "den")
@@ -322,6 +318,13 @@ class _IntVectorElement:
         return NotImplemented if o is None else (
             self.ints == o.ints and self.den == o.den)
 
+    def __hash__(self):
+        # equal values hash alike: a rational as its Fraction, others by the
+        # subclass's _signature
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash(self._signature())
+
     def is_rational(self):
         return not any(self.ints[1:])
 
@@ -347,11 +350,8 @@ class CycloElement(_IntVectorElement):
             return self._new((other.numerator,) + zeros, other.denominator)
         return None
 
-    def __hash__(self):
-        # a rational element hashes like the Fraction it equals
-        if self.is_rational():
-            return hash(self.rational_value())
-        return hash((self.field.n, self.ints, self.den))
+    def _signature(self):
+        return self.field.n, self.ints, self.den
 
     def __repr__(self):
         terms = [f"{c}*z{self.field.n}^{k}" if k else str(c)
@@ -383,8 +383,7 @@ def to_subfield(x, n):
     sum_j c_j zeta_n^j when (c, 1) spans the nullspace of the columns
     to_ambient(zeta_n^j) and -x, 16 equations in degree(n) + 1 unknowns."""
     field = cyclotomic_field(n)
-    cols = [to_ambient(field.element([0] * j + [1])).coeffs
-            for j in range(field.degree)]
+    cols = [to_ambient(field.zeta(j)).coeffs for j in range(field.degree)]
     cols.append((-x).coeffs)
     basis = nullspace(list(zip(*cols)), len(cols))
     return field.element(basis[0][:-1]) if basis else None
@@ -579,11 +578,9 @@ class QuadraticElement(_IntVectorElement):
         cs = [c for p in (a, b) for c in
               (p.coeffs if isinstance(p, QuadraticElement)
                else (Fraction(p),) + (_ZERO,) * len(inner))]
-        self = object.__new__(_QuadraticTower if inner else QuadraticElement)
-        self.field = _quadratic_field(tuple(f.D for f in inner) + (s,))
-        ints, self.den = clear_denominators(cs)
-        self.ints = tuple(ints)
-        return self
+        field = _quadratic_field(tuple(f.D for f in inner) + (s,))
+        ints, den = clear_denominators(cs)
+        return field.from_ints(tuple(ints), den)
 
     def _part(self, k):
         h = len(self.ints) // 2
@@ -621,7 +618,7 @@ class QuadraticElement(_IntVectorElement):
             raise ValueError("a quadratic and a cyclotomic field do not mix")
         return None
 
-    def _terms(self):
+    def _signature(self):
         """(den, then (r, c) for each nonzero term c*sqrt(r) by r, r
         squarefree), in lowest terms: one signature for equal values,
         whatever the field or level."""
@@ -633,14 +630,11 @@ class QuadraticElement(_IntVectorElement):
     def __eq__(self, other):
         if (isinstance(other, QuadraticElement)
                 and other.field is not self.field):
-            return self._terms() == other._terms()
+            return self._signature() == other._signature()
         return super().__eq__(other)
 
-    def __hash__(self):
-        # equal values hash alike: a rational as its Fraction, others by terms
-        if self.is_rational():
-            return hash(self.rational_value())
-        return hash(self._terms())
+    # defining __eq__ would otherwise set __hash__ to None
+    __hash__ = _IntVectorElement.__hash__
 
     def conjugate(self):
         """sqrt(D) -> -sqrt(D), which fixes the parts."""

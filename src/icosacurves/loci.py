@@ -208,14 +208,8 @@ def _reduce_plane_model(cols):
     ycontent = functools.reduce(Poly.gcd, filter(None, rows))
     if ycontent.degree > 0:
         rows = [r // ycontent for r in rows]
-        cols = [Poly([r.coeff(k) for r in rows])
-                for k in range(max(r.degree for r in rows if r) + 1)]
-    out = {}
-    for k, col in enumerate(cols):
-        for j in range(col.degree + 1):
-            v = Fraction(col.coeff(j))
-            if v:
-                out[(j, k)] = v
+    out = {(j, k): Fraction(v) for j, row in enumerate(rows)
+           for k, v in enumerate(row.coeffs) if v}
     if not out:
         raise EliminationDegenerate("plane model reduced to zero")
     _, ints = primitive_part(out.values())

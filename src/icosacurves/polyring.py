@@ -622,12 +622,6 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _check_degree(poly, m):
-    if poly.degree > m:
-        raise DegreeMismatch("polynomial degree exceeds the substitution "
-                             "degree", degree=poly.degree, m=m)
-
-
 def _scaled(values, s):
     """values[k] * s^k for each k."""
     if s == 1:
@@ -654,34 +648,29 @@ def _shift_ints(ints):
 def _unit_shift(values):
     """The coefficients of p(x + 1) from those of p.
 
-    Rationals are shifted as integers over one common denominator.  Field
-    elements become integer vectors on the field's basis over one common
-    denominator, a rational at position 0, the basis element 1 of every
-    field, and each basis position is shifted as a list of integers.
+    The coefficients become integer vectors over one common denominator: a
+    field element on its field's basis, a rational at position 0, the basis
+    element 1 of every field, and a rational-only list on a basis of one.
+    Each basis position is shifted as a list of integers.
     """
     elems = [c for c in values if not isinstance(c, (int, Fraction))]
-    if not elems:
-        ints, den = clear_denominators(values)
-        return [Fraction(v, den) for v in _shift_ints(ints)]
     if len({c.field for c in elems}) > 1:
         # the operators carry every value into the field that holds them all
         zero = sum(c * 0 for c in elems)
         values = elems = [zero + c for c in values]
-    rows, den = _integer_rows(values, len(elems[0].ints))
+    rows, den = _integer_rows(values, len(elems[0].ints) if elems else 1)
     cols = [_shift_ints(col) if any(col) else col for col in zip(*rows)]
-    field = elems[0].field
-    return [field.from_ints(tuple(col[j] for col in cols), den)
-            for j in range(len(rows))]
+    build = (elems[0].field.from_ints if elems
+             else lambda ints, den: Fraction(ints[0], den))
+    return [build(ints, den) for ints in zip(*cols)]
 
 
 def _affine(values, t, s):
-    """The coefficients of p(tx + s) from those of p: the shift p(x + s)
-    with coefficient k scaled by t^k.  For s other than 0 and 1 that is
-    p(sx) shifted by 1, with coefficient k scaled by (t/s)^k."""
+    """The coefficients of p(tx + s) from those of p: for s = 0 coefficient
+    k scaled by t^k, else p(sx) shifted by 1, with coefficient k scaled by
+    (t/s)^k."""
     if not s:
         return _scaled(values, t)
-    if s == 1:
-        return _scaled(_unit_shift(values), t)
     return _scaled(_unit_shift(_scaled(values, s)), _exact_div(t, s))
 
 
@@ -696,7 +685,9 @@ def moebius_substitute(poly, a, b, c, d, m):
     For c = 0 it is the polynomial with coefficients p_i d^(m-i) at
     ax + b.  A degree above m raises DegreeMismatch.
     """
-    _check_degree(poly, m)
+    if poly.degree > m:
+        raise DegreeMismatch("polynomial degree exceeds the substitution "
+                             "degree", degree=poly.degree, m=m)
     if not poly:
         return poly
     cs = list(poly.coeffs) + [0] * (m + 1 - len(poly.coeffs))
@@ -706,8 +697,6 @@ def moebius_substitute(poly, a, b, c, d, m):
         cs = _affine(cs[::-1], c, d)
     else:
         cs = _affine(_scaled(cs[::-1], d)[::-1], a, b)
-    if all(type(v) is int for v in (a, b, c, d, *poly.coeffs)):
-        cs = [int(v) for v in cs]  # int inputs give int coefficients
     return Poly(cs)
 
 

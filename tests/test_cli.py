@@ -295,6 +295,27 @@ def test_locus_output_matches_the_record(capsys, command):
         LOCUS_RECORD[command]
 
 
+# exit code and stdout sha256 of the invariants blocks, a null I6star and
+# i3 among them, and of the dihedral checks' text report; recorded before
+# the blocks were encoded by InvariantSet field name and the checks read
+# the dihedral invariants through one route
+INVARIANTS_RECORD = {
+    "invariants --genus 5": (
+        0, "6e50d8cdd3fe1e6d916ed638ab67c5237870e232f06dc15334afebe1e650fd7b"),
+    "invariants --genus 29 --lambda 7 --model x5 --absolute": (
+        0, "f4181c1aba8ad00978c8ec604a95ff782167d445c4a327c9b84f64be0c6ad163"),
+    "--format text verify --suite invariants": (
+        0, "297091e26c4680468b9b94e7c0048e28c393c2d1b80b057756be158daad39a72"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(INVARIANTS_RECORD))
+def test_invariants_output_matches_the_record(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == \
+        INVARIANTS_RECORD[command]
+
+
 class ClosedStdout:
     """A stdout whose reader has gone: the write, or the flush of what the
     writes buffered, raises BrokenPipeError."""

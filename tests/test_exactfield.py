@@ -115,6 +115,20 @@ def test_zeta_order():
         assert z ** k != 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 60])
+def test_zeta_has_order_n_and_galois_permutes_its_powers(n):
+    # a linear Phi_n has no x term on its basis: zeta_1 = 1, zeta_2 = -1
+    f = cyclotomic_field(n)
+    z = f.zeta()
+    assert z ** n == 1
+    assert all(z ** k != 1 for k in range(1, n))
+    assert all(f.zeta(k) == z ** k for k in range(-n, 2 * n))
+    for k in (u for u in range(1, n + 1) if math.gcd(u, n) == 1):
+        for j in range(f.degree):
+            assert f.galois(f.zeta(j).ints, k) == f.zeta(j * k).ints
+    assert f.galois((3,) + (0,) * (f.degree - 1), 1) == f.element([3]).ints
+
+
 def test_fifth_root_constant():
     assert EPSILON5 ** 5 == 1
     assert EPSILON5 != 1

@@ -659,8 +659,6 @@ def test_moebius_substitute_matches_the_naive_sum(data, kind, m, shape):
         a = c if shape == "a=c" else -c
     got = moebius_substitute(p, a, b, c, d, m)
     assert got == naive_moebius(p, a, b, c, d, m)
-    if all(type(v) is int for v in (a, b, c, d, *p.coeffs)):
-        assert all(type(v) is int for v in got.coeffs)
 
 
 @pytest.mark.parametrize("a, b, c, d", [
