@@ -3,10 +3,15 @@
 Two toolkits live here.  Binary-form transvection gives the classical
 invariants I2, I4, I6, I6star of the defining polynomial together with
 their absolute ratios, which are what cut out the one-parameter loci.
-The even-model coefficients give the dihedral invariants u_i, computed
-by a root-free formula, and from those we detect the full automorphism
-group.  This module imports no other part of the package but errors,
-exactfield and polyring.
+The chain of transvectants runs on pencils: a covariant is one rational
+scalar times content-free integer vectors, one per power of a parameter
+lam, and a transvectant is bilinear, so the chain of the pencil
+f0 + lam f1 runs once for every lam (pencil_invariants), and a single
+form is the pencil of one part (invariant_set).  The even-model
+coefficients give the dihedral invariants u_i, computed by a root-free
+formula, and from those we detect the full automorphism group.  This
+module imports no other part of the package but errors, exactfield and
+polyring.
 """
 
 import functools
@@ -14,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     DegenerateLeadingOrTrailing,
@@ -165,44 +170,100 @@ def _primitive(coeffs):
     return primitive_part(coeffs)
 
 
+def _pencil(polys, d):
+    """sum_i lam^i polys[i] as a covariant of degree-d forms: one scalar
+    and the coefficients of each part, with one content divided out of
+    all of them."""
+    return _common_content([form_coefficients(p, d) for p in polys])
+
+
+def _common_content(parts):
+    """(scalar, parts) for coefficient lists of one length."""
+    # one part, the chain of a single curve: no flattened copy
+    if len(parts) == 1:
+        s, out = _primitive(parts[0])
+        return s, (out,)
+    n = len(parts[0])
+    s, flat = _primitive([c for part in parts for c in part])
+    return s, tuple(flat[k:k + n] for k in range(0, len(flat), n))
+
+
 def _covariant(f, h, r):
-    """(f, h)_r as a (scalar, content-free coefficients) pair, from two
-    such pairs; pass one pair twice for a self-transvectant."""
-    (sf, fc), (sh, hc) = f, h
-    scale, out = _transvect(fc, hc, r)
-    s, out = _primitive(out)
-    return sf * sh * scale * s, out
+    """(f, h)_r of two pencils (scalar, (v_0, ..., v_k)) of forms: part k
+    of the result is the sum of (v_i, w_j)_r over i + j = k, over one
+    common content.  Every part of a pencil has one degree, so every pair
+    has the one scale of _transvect.  Pass one pencil twice for a
+    self-transvectant; at even r, (v_j, v_i)_r = (v_i, v_j)_r and only
+    the pairs i <= j are transvected.  A one-part pair is one _transvect
+    and one content division."""
+    (sf, fs), (sh, hs) = f, h
+    symmetric = f is h and r % 2 == 0
+    parts = [None] * (len(fs) + len(hs) - 1)
+    for i, fc in enumerate(fs):
+        for j in range(i if symmetric else 0, len(hs)):
+            scale, out = _transvect(fc, hs[j], r)
+            if symmetric and j > i:
+                out = [c + c for c in out]
+            k = i + j
+            parts[k] = out if parts[k] is None else list(map(add, parts[k],
+                                                             out))
+    s, parts = _common_content(parts)
+    return sf * sh * scale * s, parts
 
 
 def _self_value(form, r):
-    """The constant (form, form)_r of a (scalar, coefficients) pair."""
-    s, coeffs = form
+    """The constant (form, form)_r of a one-part pencil."""
+    s, (coeffs,) = form
     scale, [c] = _transvect(coeffs, coeffs, r)
     return s * s * scale * c
+
+
+def _at(form, p, q):
+    """The pencil at lam = p/q as a one-part pencil: Horner's rule on the
+    integer vectors, sum_i v_i p^i q^(k-i) over q^k."""
+    s, parts = form
+    acc, qk = parts[-1], 1
+    for v in reversed(parts[:-1]):
+        qk *= q
+        acc = [a * p + b * qk for a, b in zip(acc, v)]
+    return s / qk, (acc,)
+
+
+def _chain_degree(genus):
+    """The form degree 2*genus + 2, which the chain needs at 12 or more."""
+    d = 2 * genus + 2
+    if d < 12:
+        raise DegreeTooSmall("invariant chain needs form degree twelve",
+                             degree=d)
+    return d
+
+
+def _chain(F, d):
+    """The (covariant, order) pairs whose self-transvectants are I2, I4,
+    I6 and, from d = 20, I6star of the pencil F of degree-d forms:
+    F at d, J12 = (F, F)_(d-6) at 12, (F, J12)_12 at d - 12 and
+    (F, (F, F)_(d-10))_20 at d - 20."""
+    J12 = _covariant(F, F, d - 6)
+    steps = [(F, d), (J12, 12), (_covariant(F, J12, 12), d - 12)]
+    if d >= 20:
+        steps.append((_covariant(F, _covariant(F, F, d - 10), 20), d - 20))
+    return steps
 
 
 def invariant_set(f, genus):
     """Classical invariants of y^2 = f(x) at the given genus.
 
     An odd-degree f is read as a form with one root at infinity, so the
-    form degree is always d = 2*genus + 2.  Each covariant of the chain is
-    kept as one rational scalar times content-free integers.
+    form degree is always d = 2*genus + 2.  The chain runs on f as a
+    one-part pencil: each covariant is one rational scalar times
+    content-free integers.
     """
-    d = 2 * genus + 2
-    if d < 12:
-        raise DegreeTooSmall("invariant chain needs form degree twelve",
-                             degree=d)
+    d = _chain_degree(genus)
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    F = _primitive(form_coefficients(f, d))
-    I2 = _self_value(F, d)
-    J12 = _covariant(F, F, d - 6)
-    I4 = _self_value(J12, 12)
-    I6 = _self_value(_covariant(F, J12, 12), d - 12)
-    I6star = None
-    if d >= 20:
-        H = _covariant(F, _covariant(F, F, d - 10), 20)
-        I6star = _self_value(H, d - 20)
+    I2, I4, I6, *star = (_self_value(c, r)
+                         for c, r in _chain(_pencil((f,), d), d))
+    I6star = star[0] if star else None
     i1 = i2 = i3 = i4 = None
     if I2 != 0:
         sq = I2 * I2
@@ -217,6 +278,33 @@ def invariant_set(f, genus):
                         i1=i1, i2=i2, i3=i3, i4=i4)
 
 
+def pencil_invariants(f0, f1, genus, lams):
+    """(I2, I4, I6, I6star) of y^2 = f0(x) + lam f1(x) at each lam, the
+    values of invariant_set.
+
+    The covariants of the chain are bilinear in the form, so on the
+    pencil each is a polynomial in lam: the chain runs once, on the
+    lam^0 ... lam^k parts of each covariant, and each lam only evaluates
+    the four covariants by Horner's rule and takes their
+    self-transvectants.  I6star is None below form degree 20.  The parts
+    have degree at most d = 2*genus + 2; a member whose degree is not d
+    or d - 1 raises ValueError, as in invariant_set.
+    """
+    d = _chain_degree(genus)
+    lams = [Fraction(lam) for lam in lams]
+    if max(f0.degree, f1.degree) > d or not all(
+            any(f0.coeff(j) + lam * f1.coeff(j) for j in (d - 1, d))
+            for lam in lams):
+        raise ValueError("polynomial degree does not match the genus")
+    steps = _chain(_pencil((f0, f1), d), d)
+    out = []
+    for lam in lams:
+        p, q = lam.numerator, lam.denominator
+        values = [_self_value(_at(c, p, q), r) for c, r in steps]
+        out.append(tuple(values) if d >= 20 else (*values, None))
+    return out
+
+
 def covariant_vanishing_checks(f, genus):
     """Values of the four small self-transvected covariants.
 
@@ -228,7 +316,7 @@ def covariant_vanishing_checks(f, genus):
     d = 2 * genus + 2
     if f.degree not in (d - 1, d):
         raise ValueError("polynomial degree does not match the genus")
-    F = _primitive(form_coefficients(f, d))
+    F = _pencil((f,), d)
     out = {}
     for s in (4, 8, 16, 28):
         r = d - s // 2

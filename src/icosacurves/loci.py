@@ -28,6 +28,7 @@ from .errors import (
 from .exactfield import QuadraticElement, squarefree_part
 from .families import (
     CurveModel,
+    branch_basis,
     classify_genus,
     curve_equation,
     even_model,
@@ -36,7 +37,7 @@ from .families import (
 from .invariants import (
     check_group_relation,
     dihedral_invariants,
-    invariant_set,
+    pencil_invariants,
 )
 from .polyring import (
     Poly,
@@ -86,24 +87,26 @@ def build_locus(case_no):
     """Interpolate the invariants of the one-parameter family and
     eliminate the parameter.
 
-    The classical invariants are polynomials in the branch value of
-    degrees at most 2, 4, 6, 6, so twenty-five integer samples fix them
-    with plenty of consistency slack.  The plane model in (i1, i2) is the
-    resultant that eliminates the branch value, interpolated from a grid
-    of integer Sylvester determinants (_eliminate).
+    The family member at branch value lam is y^2 = B_0 - lam B_1 over the
+    branch basis, a pencil, so the invariant chain runs once on it
+    (pencil_invariants) and each of twenty-five integer values of lam
+    costs four Horner evaluations and four self-transvectants.  The
+    classical invariants are polynomials in lam of degrees at most 2, 4,
+    6, 6, so the twenty-five values fix them with plenty of consistency
+    slack.  The plane model in (i1, i2) is the resultant that eliminates
+    the branch value, interpolated from a grid of integer Sylvester
+    determinants (_eliminate).
     """
     if case_no not in range(1, 9):
         raise ValueError("case number must be between 1 and 8")
     g = smallest_one_dimensional_genus(case_no)
     lams = _sample_values(_SAMPLE_COUNT)
-    samples = []
-    for lam in lams:
-        cur = curve_equation(g, [Fraction(lam)], "x5")
-        samples.append(invariant_set(cur.f, g))
+    B0, B1 = branch_basis("x5", classify_genus(g).multipliers, 1)
+    samples = pencil_invariants(B0, -B1, g, lams)
     I2, I4, I6, I6s = (
-        interpolate([(Fraction(l), getattr(s, name))
-                     for l, s in zip(lams, samples)], degree=bound)
-        for name, bound in (("I2", 2), ("I4", 4), ("I6", 6), ("I6star", 6)))
+        interpolate([(Fraction(l), s[k]) for l, s in zip(lams, samples)],
+                    degree=bound)
+        for k, bound in enumerate((2, 4, 6, 6)))
     i1 = RationalFunction(I4, I2 ** 2)
     i2 = RationalFunction(I6, I2 ** 3)
     F = _eliminate(i1, i2)
@@ -135,7 +138,9 @@ def _eliminate(i1, i2):
     model by stripping one-variable factors and repeated factors.  At
     X = a the second polynomial is reduced modulo p_a = n1 - a d1 once,
     which is linear in Y, so every Y on that row pays for a Sylvester
-    determinant of order 2 deg p_a - 1 only.
+    determinant of order 2 deg p_a - 1 only.  The two remainders of a row
+    are divided by their common content once, so its determinants run on
+    content-free rows.
     """
     n1, d1, m1 = _integer_pair(i1)
     n2, d2, m2 = _integer_pair(i2)
@@ -149,10 +154,13 @@ def _eliminate(i1, i2):
     for a in xs:
         pc = [n1.coeff(j) - a * d1.coeff(j) for j in range(m1 + 1)]
         rn, rd = pseudo_remainder(num2, pc), pseudo_remainder(den2, pc)
+        g = math.gcd(*rn, *rd) or 1
+        rn, rd = [x // g for x in rn], [y // g for y in rd]
         pts = []
         for b in ys:
             rc = [x - b * y for x, y in zip(rn, rd)]
-            pts.append((Fraction(b), Fraction(_reduced_resultant(pc, rc, m2))))
+            pts.append((Fraction(b),
+                        Fraction(_reduced_resultant(pc, rc, m2, g))))
         slices.append(interpolate(pts, degree=m1))
     cols = []
     for k in range(m1 + 1):
@@ -164,12 +172,14 @@ def _eliminate(i1, i2):
     return _reduce_plane_model(cols)
 
 
-def _reduced_resultant(pc, rc, n):
-    """Res(p, q) at formal degrees m and n from rc = pseudo_remainder(qc, pc).
+def _reduced_resultant(pc, rc, n, content=1):
+    """Res(p, q) at formal degrees m and n from rc = pseudo_remainder(qc,
+    pc) / content.
 
     With e = n - m + 1, lc(p)^e q = s p + r gives Res_(m,n)(p, q) =
     Res_(m,m-1)(p, r) / lc(p)^(e (m - 1)), a Sylvester determinant of
-    order 2m - 1 in place of m + n.  At m = 1 the remainder has formal
+    order 2m - 1 in place of m + n.  The m rows of r in it make
+    Res(p, r) = content^m Res(p, rc).  At m = 1 the remainder has formal
     degree 0, which sylvester_matrix takes as resultant 0, so m >= 2 and
     n >= m with lc(p) != 0 are required.
     """
@@ -177,7 +187,7 @@ def _reduced_resultant(pc, rc, n):
     if m < 2 or n < m or pc[-1] == 0:
         raise EliminationDegenerate("reduced resultant needs 2 <= deg p "
                                     "<= formal deg q", m=m, n=n)
-    det, rem = divmod(_bareiss_det(sylvester_matrix(pc, rc)),
+    det, rem = divmod(_bareiss_det(sylvester_matrix(pc, rc)) * content ** m,
                       pc[-1] ** ((n - m + 1) * (m - 1)))
     if rem:
         raise InconsistentData("reduced resultant left a remainder")

@@ -19,7 +19,9 @@ integer multiply (_packed_product), and every other product, Fractions
 only included, runs the schoolbook loop.
 """
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -622,16 +624,16 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def _scaled(values, s):
-    """values[k] * s^k for each k."""
+def _scaled(parts, s):
+    """values[k] * s^k for each k, for each list of values in parts (one
+    length); the powers of s are formed once."""
     if s == 1:
-        return values
-    out = list(values[:1])
-    power = 1
-    for v in values[1:]:
-        power = power * s
-        out.append(v * power if v else v)
-    return out
+        return parts
+    powers = list(itertools.accumulate(
+        itertools.repeat(s, len(parts[0]) - 1), operator.mul))
+    return [values[:1] + [v * t if v else v for v, t in zip(values[1:],
+                                                             powers)]
+            for values in parts]
 
 
 def _shift_ints(ints):
@@ -665,13 +667,14 @@ def _unit_shift(values):
     return [build(ints, den) for ints in zip(*cols)]
 
 
-def _affine(values, t, s):
-    """The coefficients of p(tx + s) from those of p: for s = 0 coefficient
-    k scaled by t^k, else p(sx) shifted by 1, with coefficient k scaled by
-    (t/s)^k."""
+def _affine(parts, t, s):
+    """The coefficients of p(tx + s) for the coefficient lists p in parts
+    (one length): for s = 0 coefficient k scaled by t^k, else p(sx)
+    shifted by 1, with coefficient k scaled by (t/s)^k."""
     if not s:
-        return _scaled(values, t)
-    return _scaled(_unit_shift(_scaled(values, s)), _exact_div(t, s))
+        return _scaled(parts, t)
+    return _scaled([_unit_shift(p) for p in _scaled(parts, s)],
+                   _exact_div(t, s))
 
 
 def moebius_substitute(poly, a, b, c, d, m):
@@ -683,29 +686,35 @@ def moebius_substitute(poly, a, b, c, d, m):
     a/c + e/(cx + d) with e = (bc - ad)/c, so the sum is r(cx + d) for
     the reversal r(z) = z^m q(1/z) to degree m of q(y) = p(ey + a/c).
     For c = 0 it is the polynomial with coefficients p_i d^(m-i) at
-    ax + b.  A degree above m raises DegreeMismatch.
+    ax + b.  A degree above m raises DegreeMismatch.  A tuple of
+    polynomials gives the tuple of their substitutions, with the inverse
+    of c, e, a/c and the powers of each scaling formed once for all.
     """
-    if poly.degree > m:
-        raise DegreeMismatch("polynomial degree exceeds the substitution "
-                             "degree", degree=poly.degree, m=m)
-    if not poly:
-        return poly
-    cs = list(poly.coeffs) + [0] * (m + 1 - len(poly.coeffs))
-    if c:
+    parts = (poly,) if isinstance(poly, Poly) else poly
+    for p in parts:
+        if p.degree > m:
+            raise DegreeMismatch("polynomial degree exceeds the substitution "
+                                 "degree", degree=p.degree, m=m)
+    live = [list(p.coeffs) + [0] * (m + 1 - len(p.coeffs))
+            for p in parts if p]
+    if live and c:
         inv = _inv(c)
-        cs = _affine(cs, (b * c - a * d) * inv, a * inv)
-        cs = _affine(cs[::-1], c, d)
-    else:
-        cs = _affine(_scaled(cs[::-1], d)[::-1], a, b)
-    return Poly(cs)
+        live = _affine(live, (b * c - a * d) * inv, a * inv)
+        live = _affine([cs[::-1] for cs in live], c, d)
+    elif live:
+        live = _affine([cs[::-1] for cs in _scaled([cs[::-1] for cs in live],
+                                                  d)], a, b)
+    done = iter(live)
+    out = tuple(Poly(next(done)) if p else p for p in parts)
+    return out[0] if isinstance(poly, Poly) else out
 
 
 def compose_rational(outer, inner):
     """outer(inner(x)) for an inner map of mapped degree at most 1.
 
-    With inner = (ax + b)/(cx + d) and m the joint degree of outer, each
-    part of outer becomes one moebius_substitute.  An inner map of higher
-    degree raises DegreeMismatch.
+    With inner = (ax + b)/(cx + d) and m the joint degree of outer, both
+    parts of outer go through one moebius_substitute.  An inner map of
+    higher degree raises DegreeMismatch.
     """
     if not isinstance(inner, RationalFunction):
         inner = RationalFunction(inner)
@@ -717,8 +726,7 @@ def compose_rational(outer, inner):
     m = max(outer.num.degree, outer.den.degree, 0)
     a, b, c, d = (inner.num.coeff(1), inner.num.coeff(0),
                   inner.den.coeff(1), inner.den.coeff(0))
-    num, den = (moebius_substitute(p, a, b, c, d, m)
-                for p in (outer.num, outer.den))
+    num, den = moebius_substitute((outer.num, outer.den), a, b, c, d, m)
     if not den:
         raise ZeroPolynomial("composition collapses the denominator")
     return RationalFunction(num, den)

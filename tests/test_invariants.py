@@ -26,6 +26,7 @@ from icosacurves.invariants import (
     dihedral_invariants,
     form_coefficients,
     invariant_set,
+    pencil_invariants,
     transvectant,
 )
 from icosacurves.polyring import Poly, moebius_substitute
@@ -266,28 +267,36 @@ def test_covariant_vanishing_fails_off_family():
     assert any(v != 0 for v in checks.values())
 
 
-def _textbook_chain(f, genus):
-    """(I2, I4, I6, I6star, covariant values) by the textbook transvectant
-    on the whole form, with no content removed between the steps."""
+def _textbook_value(form, r):
+    [c] = _textbook_transvectant(form, form, r)
+    return c
+
+
+def _textbook_invariants(f, genus):
+    """(I2, I4, I6, I6star) by the textbook transvectant on the whole
+    form, with no content removed between the steps."""
     d = 2 * genus + 2
     F_ = form_coefficients(f, d)
-
-    def value(form, r):
-        [c] = _textbook_transvectant(form, form, r)
-        return c
-
     J12 = _textbook_transvectant(F_, F_, d - 6)
     G = _textbook_transvectant(F_, J12, 12)
     I6star = None
     if d >= 20:
         H = _textbook_transvectant(F_, _textbook_transvectant(F_, F_, d - 10),
                                    20)
-        I6star = value(H, d - 20)
+        I6star = _textbook_value(H, d - 20)
+    return (_textbook_value(F_, d), _textbook_value(J12, 12),
+            _textbook_value(G, d - 12), I6star)
+
+
+def _textbook_chain(f, genus):
+    """(I2, I4, I6, I6star, covariant values) by the textbook
+    transvectant."""
+    d = 2 * genus + 2
+    F_ = form_coefficients(f, d)
     covariants = {
-        s: value(_textbook_transvectant(F_, F_, d - s // 2), s)
+        s: _textbook_value(_textbook_transvectant(F_, F_, d - s // 2), s)
         if d >= s // 2 else None for s in (4, 8, 16, 28)}
-    return (value(F_, d), value(J12, 12), value(G, d - 12), I6star,
-            covariants)
+    return (*_textbook_invariants(f, genus), covariants)
 
 
 @settings(max_examples=20, deadline=None)
@@ -304,6 +313,62 @@ def test_invariant_chain_matches_the_textbook_chain(data):
     I2, I4, I6, I6star, covariants = _textbook_chain(f, genus)
     assert (inv.I2, inv.I4, inv.I6, inv.I6star) == (I2, I4, I6, I6star)
     assert covariant_vanishing_checks(f, genus) == covariants
+
+
+# no shrink or explain phase: a textbook chain at degree 62 takes about a
+# second, and the unshrunk case already shows the fault
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(data=st.data())
+def test_pencil_invariants_match_the_textbook_chain(data):
+    # the members f0 + lam f1 are forms of degree d or d - 1 supported on
+    # one residue class mod the stride, as an x^5 model is at stride 5
+    d = data.draw(st.sampled_from((20, 24, 62)))
+    genus = d // 2 - 1
+    stride = data.draw(st.sampled_from((1, 2, 5)))
+    top = data.draw(st.sampled_from((d, d - 1)))
+    values = st.one_of(st.integers(-9, 9), rationals)
+
+    def part():
+        cs = data.draw(st.lists(values, min_size=top + 1, max_size=top + 1))
+        return [c if (top - j) % stride == 0 else 0
+                for j, c in enumerate(cs)]
+
+    c0, c1 = part(), part()
+    c0[top] = c0[top] or 1
+    f0, f1 = Poly(c0), Poly(c1)
+    lams = [0, data.draw(st.integers(-20, 20)),
+            data.draw(st.fractions(-20, 20, max_denominator=9))]
+    members = [f0 + f1 * lam for lam in lams]
+    if any(f.degree not in (d - 1, d) for f in members):
+        with pytest.raises(ValueError):
+            pencil_invariants(f0, f1, genus, lams)
+        with pytest.raises(ValueError):
+            invariant_set(next(f for f in members if f.degree < d - 1),
+                          genus)
+        lams, members = zip(*[(lam, f) for lam, f in zip(lams, members)
+                              if f.degree >= d - 1])
+    want = [_textbook_invariants(f, genus) for f in members]
+    assert pencil_invariants(f0, f1, genus, lams) == want
+    assert [tuple(invariant_set(f, genus))[:4] for f in members] == want
+
+
+def test_pencil_invariants_refuse_what_invariant_set_refuses():
+    f0, f1 = Poly([1] * 11), Poly([0, 1])
+    with pytest.raises(DegreeTooSmall):
+        pencil_invariants(f0, f1, 4, [1])
+    with pytest.raises(ValueError):
+        pencil_invariants(f0, f1, 5, [1])
+    # at lam = -1 the member x^12 - x^12 + ... drops to degree 10
+    f0, f1 = Poly([1] * 13), Poly([0] * 11 + [1, 1])
+    assert pencil_invariants(f0, f1, 5, [0, 2]) == [
+        tuple(invariant_set(f0 + f1 * lam, 5))[:4] for lam in (0, 2)]
+    with pytest.raises(ValueError):
+        pencil_invariants(f0, f1, 5, [0, -1])
+    with pytest.raises(ValueError):
+        invariant_set(f0 - f1, 5)
+    # below form degree 20 the starred slot is None
+    assert pencil_invariants(f0, f1, 5, [3])[0][3] is None
 
 
 def test_dihedral_reduces_to_plain_formula_when_normal():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -14,7 +16,13 @@ from icosacurves.errors import (
     SingularPoint,
 )
 from icosacurves.exactfield import QuadraticElement
-from icosacurves.families import curve_equation, even_model
+from icosacurves.families import (
+    branch_basis,
+    classify_genus,
+    curve_equation,
+    even_model,
+    smallest_one_dimensional_genus,
+)
 from icosacurves.fixtures import load_fixtures
 from icosacurves.invariants import (
     DihedralInvariants,
@@ -24,9 +32,12 @@ from icosacurves.invariants import (
     invariant_set,
 )
 from icosacurves.loci import (
+    _SAMPLE_COUNT,
+    _integer_pair,
     _quadratic_root,
     _reduce_plane_model,
     _reduced_resultant,
+    _sample_values,
     build_locus,
     evaluate_plane_model,
     fiber_model,
@@ -98,6 +109,38 @@ def test_origin_is_a_singular_point(locus1):
 def test_invalid_case_number_rejected():
     with pytest.raises(ValueError):
         build_locus(9)
+
+
+# sha256 of json.dumps([[str(c) for c in p.coeffs] for p in (I2, I4, I6,
+# I6star)]) per case, the invariant polynomials of the 25-member fits
+I_POLYNOMIAL_RECORD = {
+    1: "b5ec2fbe5a5e61c1f9f9140c8e6ecf760f59b04708ac317627dd86c0d071be91",
+    2: "1984ea530fd90c0389c9ac7e7ef77fa29a1bb36e8979984d639a182273bfbda0",
+    3: "e9589876693ee8b3a18069840fa443afe4a6a73eb10119bd1f1d99d953d5e2da",
+    4: "4856795d0c419ea3a88d8087f779274b7af038f8f389f433a6f365214048ec86",
+    5: "11bc98d1751b7479d09add3e93270e069e668db52c7498558bcc837e75336f93",
+    6: "a55ed3a6a5edf5808bf6aafc708d5be2a6d3dc50f59da9291d1587b49a932ade",
+    7: "1acd9923c52aeaab4362fe7fa01482f22f617ebb7f6633518d6de41cdda61054",
+    8: "bc6899667856f33f041e99f6650753c1f504af4db43dba2d5e4a9b017b44216e",
+}
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+def test_invariant_polynomials_match_the_record(case):
+    L = build_locus(case)
+    polys = (L.I2_of_lambda, L.I4_of_lambda, L.I6_of_lambda,
+             L.I6star_of_lambda)
+    text = json.dumps([[str(c) for c in p.coeffs] for p in polys])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        I_POLYNOMIAL_RECORD[case]
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+def test_sampled_members_are_the_pencil_of_the_branch_basis(case):
+    g = smallest_one_dimensional_genus(case)
+    B0, B1 = branch_basis("x5", classify_genus(g).multipliers, 1)
+    for lam in _sample_values(_SAMPLE_COUNT):
+        assert curve_equation(g, [lam], "x5").f == B0 - B1 * lam
 
 
 @pytest.mark.parametrize("case", range(1, 9))
@@ -306,3 +349,27 @@ def test_reduced_resultant_refuses_a_linear_p():
     # sylvester_matrix, while Res(x - 2, x) is 2
     with pytest.raises(EliminationDegenerate):
         _reduced_resultant([-2, 1], pseudo_remainder([0, 1], [-2, 1]), 1)
+
+
+def test_reduced_resultant_takes_the_row_content(locus1):
+    # the grid row X = 1 of case 1: both remainders share a content g, and
+    # the divided row gives the resultant of the undivided one
+    n1, d1, m1 = _integer_pair(locus1.i1_of_lambda)
+    n2, d2, m2 = _integer_pair(locus1.i2_of_lambda)
+    pc = [n1.coeff(j) - d1.coeff(j) for j in range(m1 + 1)]
+    num2 = [n2.coeff(j) for j in range(m2 + 1)]
+    den2 = [d2.coeff(j) for j in range(m2 + 1)]
+    rn, rd = pseudo_remainder(num2, pc), pseudo_remainder(den2, pc)
+    g = math.gcd(*rn, *rd)
+    assert pc[-1] and g > 1
+    for b in (1, -1, 2):
+        qc = [x - b * y for x, y in zip(num2, den2)]
+        full = [x - b * y for x, y in zip(rn, rd)]
+        rc = [v // g for v in full]
+        want = _bareiss_det(sylvester_matrix(pc, qc))
+        assert _reduced_resultant(pc, full, m2) == want
+        assert _reduced_resultant(pc, rc, m2, g) == want
+    # the scale does not hide a wrong row from the remainder check
+    bad = [rc[0] + 1] + rc[1:]
+    with pytest.raises(InconsistentData):
+        _reduced_resultant(pc, bad, m2, g)
