@@ -120,7 +120,7 @@ def _emit(doc, fmt):
 
 def _emit_report(report, fmt):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        _emit(report, fmt)
     else:
         for chk in report["checks"]:
             print(f"{chk['status']:4s}  {chk['id']:28s}  {chk['details']}")

@@ -6,8 +6,8 @@ their absolute ratios, which are what cut out the one-parameter loci.
 The chain of transvectants runs on pencils: a covariant is one rational
 scalar times content-free integer vectors, one per power of a parameter
 lam, and a transvectant is bilinear, so the chain of the pencil
-f0 + lam f1 runs once for every lam (pencil_invariants), and a single
-form is the pencil of one part (invariant_set).  The even-model
+sum_i lam^i f_i runs once for every lam (pencil_invariants), and a
+single form is the pencil of one part (invariant_set).  The even-model
 coefficients give the dihedral invariants u_i, computed by a root-free
 formula, and from those we detect the full automorphism group.  This
 module imports no other part of the package but errors, exactfield and
@@ -159,32 +159,29 @@ class InvariantSet(namedtuple("InvariantSet",
         return (self.i1, self.i2, self.i3, self.i4)
 
 
-def _primitive(coeffs):
-    """(scalar, coefficients): integer, content-free ones for rationals.
-
-    Exotic coefficient types pass through untouched with scalar one; the
-    point is to keep the transvectant inner loops on machine integers.
-    """
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return Fraction(1), coeffs
-    return primitive_part(coeffs)
-
-
-def _pencil(polys, d):
+def _pencil(polys, d, points):
     """sum_i lam^i polys[i] as a covariant of degree-d forms: one scalar
     and the coefficients of each part, with one content divided out of
-    all of them."""
-    return _common_content([form_coefficients(p, d) for p in polys])
+    all of them.  The member at each lam = p/q of points (p, q) must have
+    degree d or d - 1, else ValueError."""
+    form = _common_content([form_coefficients(f, d) for f in polys])
+    for p, q in points:
+        _, (member,) = _at(form, p, q)
+        if not (member[0] or member[1]):
+            raise ValueError("polynomial degree does not match the genus")
+    return form
 
 
 def _common_content(parts):
-    """(scalar, parts) for coefficient lists of one length."""
-    # one part, the chain of a single curve: no flattened copy
-    if len(parts) == 1:
-        s, out = _primitive(parts[0])
-        return s, (out,)
+    """(scalar, parts) for coefficient lists of one length: content-free
+    integer parts when every coefficient is an int or a Fraction.  Other
+    types pass through untouched with scalar one; the point is to keep
+    the transvectant inner loops on machine integers."""
+    flat = [c for part in parts for c in part]
+    if not {int, Fraction}.issuperset(map(type, flat)):
+        return Fraction(1), parts
     n = len(parts[0])
-    s, flat = _primitive([c for part in parts for c in part])
+    s, flat = primitive_part(flat)
     return s, tuple(flat[k:k + n] for k in range(0, len(flat), n))
 
 
@@ -229,27 +226,6 @@ def _at(form, p, q):
     return s / qk, (acc,)
 
 
-def _chain_degree(genus):
-    """The form degree 2*genus + 2, which the chain needs at 12 or more."""
-    d = 2 * genus + 2
-    if d < 12:
-        raise DegreeTooSmall("invariant chain needs form degree twelve",
-                             degree=d)
-    return d
-
-
-def _chain(F, d):
-    """The (covariant, order) pairs whose self-transvectants are I2, I4,
-    I6 and, from d = 20, I6star of the pencil F of degree-d forms:
-    F at d, J12 = (F, F)_(d-6) at 12, (F, J12)_12 at d - 12 and
-    (F, (F, F)_(d-10))_20 at d - 20."""
-    J12 = _covariant(F, F, d - 6)
-    steps = [(F, d), (J12, 12), (_covariant(F, J12, 12), d - 12)]
-    if d >= 20:
-        steps.append((_covariant(F, _covariant(F, F, d - 10), 20), d - 20))
-    return steps
-
-
 def invariant_set(f, genus):
     """Classical invariants of y^2 = f(x) at the given genus.
 
@@ -258,12 +234,7 @@ def invariant_set(f, genus):
     one-part pencil: each covariant is one rational scalar times
     content-free integers.
     """
-    d = _chain_degree(genus)
-    if f.degree not in (d - 1, d):
-        raise ValueError("polynomial degree does not match the genus")
-    I2, I4, I6, *star = (_self_value(c, r)
-                         for c, r in _chain(_pencil((f,), d), d))
-    I6star = star[0] if star else None
+    [(I2, I4, I6, I6star)] = pencil_invariants((f,), genus, (0,))
     i1 = i2 = i3 = i4 = None
     if I2 != 0:
         sq = I2 * I2
@@ -278,28 +249,33 @@ def invariant_set(f, genus):
                         i1=i1, i2=i2, i3=i3, i4=i4)
 
 
-def pencil_invariants(f0, f1, genus, lams):
-    """(I2, I4, I6, I6star) of y^2 = f0(x) + lam f1(x) at each lam, the
-    values of invariant_set.
+def pencil_invariants(parts, genus, lams):
+    """(I2, I4, I6, I6star) of y^2 = sum_i lam^i parts[i](x) at each lam,
+    the values of invariant_set.
 
-    The covariants of the chain are bilinear in the form, so on the
-    pencil each is a polynomial in lam: the chain runs once, on the
-    lam^0 ... lam^k parts of each covariant, and each lam only evaluates
-    the four covariants by Horner's rule and takes their
+    The chain is F at d, J12 = (F, F)_(d-6) at 12, (F, J12)_12 at d - 12
+    and, from d = 20, (F, (F, F)_(d-10))_20 at d - 20, each covariant
+    self-transvected at its order.  The covariants are polynomial in the
+    form, so on the pencil each is a polynomial in lam: the chain runs
+    once, on the lam^0 ... lam^k parts of each covariant, and each lam
+    only evaluates the four covariants by Horner's rule and takes their
     self-transvectants.  I6star is None below form degree 20.  The parts
-    have degree at most d = 2*genus + 2; a member whose degree is not d
-    or d - 1 raises ValueError, as in invariant_set.
+    have degree at most d = 2*genus + 2; below d = 12 DegreeTooSmall is
+    raised, and a member whose degree is not d or d - 1 raises
+    ValueError.
     """
-    d = _chain_degree(genus)
-    lams = [Fraction(lam) for lam in lams]
-    if max(f0.degree, f1.degree) > d or not all(
-            any(f0.coeff(j) + lam * f1.coeff(j) for j in (d - 1, d))
-            for lam in lams):
-        raise ValueError("polynomial degree does not match the genus")
-    steps = _chain(_pencil((f0, f1), d), d)
+    d = 2 * genus + 2
+    if d < 12:
+        raise DegreeTooSmall("invariant chain needs form degree twelve",
+                             degree=d)
+    points = [(lam.numerator, lam.denominator) for lam in map(Fraction, lams)]
+    F = _pencil(parts, d, points)
+    J12 = _covariant(F, F, d - 6)
+    steps = [(F, d), (J12, 12), (_covariant(F, J12, 12), d - 12)]
+    if d >= 20:
+        steps.append((_covariant(F, _covariant(F, F, d - 10), 20), d - 20))
     out = []
-    for lam in lams:
-        p, q = lam.numerator, lam.denominator
+    for p, q in points:
         values = [_self_value(_at(c, p, q), r) for c, r in steps]
         out.append(tuple(values) if d >= 20 else (*values, None))
     return out
@@ -314,9 +290,7 @@ def covariant_vanishing_checks(f, genus):
     degree is too small to define it.
     """
     d = 2 * genus + 2
-    if f.degree not in (d - 1, d):
-        raise ValueError("polynomial degree does not match the genus")
-    F = _pencil((f,), d)
+    F = _pencil((f,), d, [(0, 1)])
     out = {}
     for s in (4, 8, 16, 28):
         r = d - s // 2

@@ -102,10 +102,9 @@ def build_locus(case_no):
     g = smallest_one_dimensional_genus(case_no)
     lams = _sample_values(_SAMPLE_COUNT)
     B0, B1 = branch_basis("x5", classify_genus(g).multipliers, 1)
-    samples = pencil_invariants(B0, -B1, g, lams)
+    samples = pencil_invariants((B0, -B1), g, lams)
     I2, I4, I6, I6s = (
-        interpolate([(Fraction(l), s[k]) for l, s in zip(lams, samples)],
-                    degree=bound)
+        interpolate([(l, s[k]) for l, s in zip(lams, samples)], degree=bound)
         for k, bound in enumerate((2, 4, 6, 6)))
     i1 = RationalFunction(I4, I2 ** 2)
     i2 = RationalFunction(I6, I2 ** 3)
@@ -138,9 +137,7 @@ def _eliminate(i1, i2):
     model by stripping one-variable factors and repeated factors.  At
     X = a the second polynomial is reduced modulo p_a = n1 - a d1 once,
     which is linear in Y, so every Y on that row pays for a Sylvester
-    determinant of order 2 deg p_a - 1 only.  The two remainders of a row
-    are divided by their common content once, so its determinants run on
-    content-free rows.
+    determinant of order 2 deg p_a - 1 only.
     """
     n1, d1, m1 = _integer_pair(i1)
     n2, d2, m2 = _integer_pair(i2)
@@ -154,17 +151,14 @@ def _eliminate(i1, i2):
     for a in xs:
         pc = [n1.coeff(j) - a * d1.coeff(j) for j in range(m1 + 1)]
         rn, rd = pseudo_remainder(num2, pc), pseudo_remainder(den2, pc)
-        g = math.gcd(*rn, *rd) or 1
-        rn, rd = [x // g for x in rn], [y // g for y in rd]
         pts = []
         for b in ys:
             rc = [x - b * y for x, y in zip(rn, rd)]
-            pts.append((Fraction(b),
-                        Fraction(_reduced_resultant(pc, rc, m2, g))))
+            pts.append((b, _reduced_resultant(pc, rc, m2)))
         slices.append(interpolate(pts, degree=m1))
     cols = []
     for k in range(m1 + 1):
-        cpts = [(Fraction(a), s.coeff(k)) for a, s in zip(xs, slices)]
+        cpts = [(a, s.coeff(k)) for a, s in zip(xs, slices)]
         cols.append(interpolate(cpts, degree=m2))
     if not any(cols):
         raise EliminationDegenerate(
@@ -172,23 +166,26 @@ def _eliminate(i1, i2):
     return _reduce_plane_model(cols)
 
 
-def _reduced_resultant(pc, rc, n, content=1):
+def _reduced_resultant(pc, rc, n):
     """Res(p, q) at formal degrees m and n from rc = pseudo_remainder(qc,
-    pc) / content.
+    pc).
 
     With e = n - m + 1, lc(p)^e q = s p + r gives Res_(m,n)(p, q) =
     Res_(m,m-1)(p, r) / lc(p)^(e (m - 1)), a Sylvester determinant of
     order 2m - 1 in place of m + n.  The m rows of r in it make
-    Res(p, r) = content^m Res(p, rc).  At m = 1 the remainder has formal
-    degree 0, which sylvester_matrix takes as resultant 0, so m >= 2 and
-    n >= m with lc(p) != 0 are required.
+    Res(p, r) = g^m Res(p, r / g) for the content g of r, so the
+    determinant runs on content-free rows.  At m = 1 the remainder has
+    formal degree 0, which sylvester_matrix takes as resultant 0, so
+    m >= 2 and n >= m with lc(p) != 0 are required.
     """
     m = len(pc) - 1
     if m < 2 or n < m or pc[-1] == 0:
         raise EliminationDegenerate("reduced resultant needs 2 <= deg p "
                                     "<= formal deg q", m=m, n=n)
-    det, rem = divmod(_bareiss_det(sylvester_matrix(pc, rc)) * content ** m,
-                      pc[-1] ** ((n - m + 1) * (m - 1)))
+    g = math.gcd(*rc) or 1
+    det, rem = divmod(
+        _bareiss_det(sylvester_matrix(pc, [c // g for c in rc])) * g ** m,
+        pc[-1] ** ((n - m + 1) * (m - 1)))
     if rem:
         raise InconsistentData("reduced resultant left a remainder")
     return det
@@ -306,7 +303,7 @@ def singular_fibers(locus):
         p1 = _divided_kernel(n1, d1, lam0)
         p2 = _divided_kernel(n2, d2, lam0)
         det = _reduced_resultant(p1, pseudo_remainder(p2, p1), m2 - 1)
-        points.append((Fraction(lam0), Fraction(det)))
+        points.append((lam0, det))
     res = interpolate(points, degree=bound)
     if not res:
         raise UnexpectedFactorStructure("collision resultant vanished")

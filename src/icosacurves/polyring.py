@@ -695,17 +695,15 @@ def moebius_substitute(poly, a, b, c, d, m):
         if p.degree > m:
             raise DegreeMismatch("polynomial degree exceeds the substitution "
                                  "degree", degree=p.degree, m=m)
-    live = [list(p.coeffs) + [0] * (m + 1 - len(p.coeffs))
-            for p in parts if p]
-    if live and c:
+    coeffs = [list(p.coeffs) + [0] * (m + 1 - len(p.coeffs)) for p in parts]
+    if c:
         inv = _inv(c)
-        live = _affine(live, (b * c - a * d) * inv, a * inv)
-        live = _affine([cs[::-1] for cs in live], c, d)
-    elif live:
-        live = _affine([cs[::-1] for cs in _scaled([cs[::-1] for cs in live],
-                                                  d)], a, b)
-    done = iter(live)
-    out = tuple(Poly(next(done)) if p else p for p in parts)
+        coeffs = _affine(coeffs, (b * c - a * d) * inv, a * inv)
+        coeffs = _affine([cs[::-1] for cs in coeffs], c, d)
+    else:
+        coeffs = _affine([cs[::-1] for cs in _scaled(
+            [cs[::-1] for cs in coeffs], d)], a, b)
+    out = tuple(map(Poly, coeffs))
     return out[0] if isinstance(poly, Poly) else out
 
 

@@ -14,6 +14,7 @@ from icosacurves.errors import (
     InconsistentData,
     NotEven,
     NotInLocus,
+    SingularSystem,
 )
 from icosacurves.families import (
     CurveModel,
@@ -27,7 +28,7 @@ from icosacurves.families import (
     smallest_one_dimensional_genus,
     symmetric_from_dihedral,
 )
-from icosacurves.invariants import dihedral_invariants
+from icosacurves.invariants import DihedralInvariants, dihedral_invariants
 from icosacurves.loci import rational_model
 from icosacurves.polyring import Poly, is_squarefree_certified
 
@@ -233,6 +234,24 @@ def test_curve_from_symmetric_rejects_bad_branch_polynomials(s, error,
         curve_from_symmetric(59, s, "x5")
     assert info.value.payload.get("value") == (
         None if value is None else F(value))
+
+
+@pytest.mark.parametrize("g,s", [
+    (89, (F(3, 2), F(-5), F(7, 3))),
+    (119, (F(3, 2), F(-5), F(7, 3), F(2))),
+    (104, (F(3, 2), F(-5), F(7, 3))),
+    (134, (F(3, 2), F(-5), F(7, 3), F(2))),
+])
+def test_recovery_at_three_and_four_branch_values(g, s):
+    # case 1 (Z2xA5) at genus 89 and 119 and case 5 (SL2_5) at genus 104
+    # and 134, delta = 3 and 4
+    u = dihedral_invariants(even_model(curve_from_symmetric(g, s, "x2")))
+    assert symmetric_from_dihedral(u, len(s)) == s
+    vals = list(u.values)
+    vals[4] = vals[4] + 1
+    with pytest.raises(SingularSystem):
+        symmetric_from_dihedral(DihedralInvariants(d=u.d, values=tuple(vals)),
+                                len(s))
 
 
 @pytest.mark.parametrize("case_no", range(1, 9))

@@ -222,8 +222,11 @@ def test_degree_too_small():
 
 
 def test_degree_genus_mismatch():
-    with pytest.raises(ValueError):
-        invariant_set(Poly([1, 1, 1]), 5)
+    # too low and too high for the form degree 12 of genus 5
+    for run in (invariant_set, covariant_vanishing_checks):
+        for f in (Poly([1, 1, 1]), Poly([1] * 14)):
+            with pytest.raises(ValueError):
+                run(f, 5)
 
 
 def test_all_invariants_vanish_on_a_power():
@@ -342,33 +345,33 @@ def test_pencil_invariants_match_the_textbook_chain(data):
     members = [f0 + f1 * lam for lam in lams]
     if any(f.degree not in (d - 1, d) for f in members):
         with pytest.raises(ValueError):
-            pencil_invariants(f0, f1, genus, lams)
+            pencil_invariants((f0, f1), genus, lams)
         with pytest.raises(ValueError):
             invariant_set(next(f for f in members if f.degree < d - 1),
                           genus)
         lams, members = zip(*[(lam, f) for lam, f in zip(lams, members)
                               if f.degree >= d - 1])
     want = [_textbook_invariants(f, genus) for f in members]
-    assert pencil_invariants(f0, f1, genus, lams) == want
+    assert pencil_invariants((f0, f1), genus, lams) == want
     assert [tuple(invariant_set(f, genus))[:4] for f in members] == want
 
 
 def test_pencil_invariants_refuse_what_invariant_set_refuses():
     f0, f1 = Poly([1] * 11), Poly([0, 1])
     with pytest.raises(DegreeTooSmall):
-        pencil_invariants(f0, f1, 4, [1])
+        pencil_invariants((f0, f1), 4, [1])
     with pytest.raises(ValueError):
-        pencil_invariants(f0, f1, 5, [1])
+        pencil_invariants((f0, f1), 5, [1])
     # at lam = -1 the member x^12 - x^12 + ... drops to degree 10
     f0, f1 = Poly([1] * 13), Poly([0] * 11 + [1, 1])
-    assert pencil_invariants(f0, f1, 5, [0, 2]) == [
+    assert pencil_invariants((f0, f1), 5, [0, 2]) == [
         tuple(invariant_set(f0 + f1 * lam, 5))[:4] for lam in (0, 2)]
     with pytest.raises(ValueError):
-        pencil_invariants(f0, f1, 5, [0, -1])
+        pencil_invariants((f0, f1), 5, [0, -1])
     with pytest.raises(ValueError):
         invariant_set(f0 - f1, 5)
     # below form degree 20 the starred slot is None
-    assert pencil_invariants(f0, f1, 5, [3])[0][3] is None
+    assert pencil_invariants((f0, f1), 5, [3])[0][3] is None
 
 
 def test_dihedral_reduces_to_plain_formula_when_normal():

@@ -353,7 +353,8 @@ def test_reduced_resultant_refuses_a_linear_p():
 
 def test_reduced_resultant_takes_the_row_content(locus1):
     # the grid row X = 1 of case 1: both remainders share a content g, and
-    # the divided row gives the resultant of the undivided one
+    # a row divided by its own content gives the resultant of the
+    # undivided one
     n1, d1, m1 = _integer_pair(locus1.i1_of_lambda)
     n2, d2, m2 = _integer_pair(locus1.i2_of_lambda)
     pc = [n1.coeff(j) - d1.coeff(j) for j in range(m1 + 1)]
@@ -365,11 +366,10 @@ def test_reduced_resultant_takes_the_row_content(locus1):
     for b in (1, -1, 2):
         qc = [x - b * y for x, y in zip(num2, den2)]
         full = [x - b * y for x, y in zip(rn, rd)]
-        rc = [v // g for v in full]
         want = _bareiss_det(sylvester_matrix(pc, qc))
         assert _reduced_resultant(pc, full, m2) == want
-        assert _reduced_resultant(pc, rc, m2, g) == want
-    # the scale does not hide a wrong row from the remainder check
-    bad = [rc[0] + 1] + rc[1:]
+    # the scale does not hide a wrong row that keeps the content g from
+    # the remainder check
+    bad = [full[0] + g] + full[1:]
     with pytest.raises(InconsistentData):
-        _reduced_resultant(pc, bad, m2, g)
+        _reduced_resultant(pc, bad, m2)
